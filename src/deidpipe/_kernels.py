@@ -42,8 +42,26 @@ SSIM_C2 = 0.03**2
 
 
 def cosine_scores_numpy(q_unit: np.ndarray, unit_rows: np.ndarray) -> np.ndarray:
-    """Cosine of a unit query against every unit row, clamped to [-1, 1]."""
-    return np.clip(unit_rows @ q_unit, -1.0, 1.0)
+    """Cosine of unit queries against every unit row, clamped to [-1, 1].
+
+    q_unit is one (D,) query or an (L, D) block; the result is (V,) or
+    (L, V). Each score is the same function of its two vectors whatever
+    the block shape or position, so equal rows score bitwise equal and
+    a block row equals the single-query result. BLAS matrix products do
+    not guarantee either.
+    """
+    return np.clip(np.einsum("...d,vd->...v", q_unit, unit_rows), -1.0, 1.0)
+
+
+def _block_means(img: np.ndarray, row_cuts: np.ndarray, col_cuts: np.ndarray) -> np.ndarray:
+    """Mean of every block between consecutive cuts; the last block runs to the edge.
+
+    The cuts must start at 0 and increase strictly, so no block is empty.
+    """
+    sums = np.add.reduceat(np.add.reduceat(img, row_cuts, axis=0), col_cuts, axis=1)
+    rows = np.diff(row_cuts, append=img.shape[0])
+    cols = np.diff(col_cuts, append=img.shape[1])
+    return sums / np.outer(rows, cols)
 
 
 def block_mean_numpy(img: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
@@ -53,15 +71,11 @@ def block_mean_numpy(img: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
     column range, so any image at least as large as the grid pools cleanly.
     """
     h, w = img.shape
-    out = np.empty((grid_h, grid_w), dtype=np.float64)
-    for i in range(grid_h):
-        r0 = (i * h) // grid_h
-        r1 = ((i + 1) * h) // grid_h
-        for j in range(grid_w):
-            c0 = (j * w) // grid_w
-            c1 = ((j + 1) * w) // grid_w
-            out[i, j] = img[r0:r1, c0:c1].mean()
-    return out
+    if h < grid_h or w < grid_w:
+        raise ValueError("image must be at least as large as the pooling grid")
+    return _block_means(
+        img, (np.arange(grid_h) * h) // grid_h, (np.arange(grid_w) * w) // grid_w
+    )
 
 
 def lowpass_block4_numpy(img: np.ndarray) -> np.ndarray:
@@ -71,16 +85,7 @@ def lowpass_block4_numpy(img: np.ndarray) -> np.ndarray:
     over whatever pixels remain.
     """
     h, w = img.shape
-    bh = (h + 3) // 4
-    bw = (w + 3) // 4
-    means = np.empty((bh, bw), dtype=np.float64)
-    for bi in range(bh):
-        r0 = 4 * bi
-        r1 = min(r0 + 4, h)
-        for bj in range(bw):
-            c0 = 4 * bj
-            c1 = min(c0 + 4, w)
-            means[bi, bj] = img[r0:r1, c0:c1].mean()
+    means = _block_means(img, np.arange(0, h, 4), np.arange(0, w, 4))
     return np.repeat(np.repeat(means, 4, axis=0), 4, axis=1)[:h, :w]
 
 
@@ -193,9 +198,10 @@ if HAS_NUMBA:
         return total / (nh * nw)
 
     def cosine_scores_numba(q_unit: np.ndarray, unit_rows: np.ndarray) -> np.ndarray:
-        return _cosine_scores_nb(
-            np.ascontiguousarray(q_unit), np.ascontiguousarray(unit_rows)
-        )
+        rows = np.ascontiguousarray(unit_rows)
+        if np.ndim(q_unit) == 2:
+            return np.array([_cosine_scores_nb(np.ascontiguousarray(q), rows) for q in q_unit])
+        return _cosine_scores_nb(np.ascontiguousarray(q_unit), rows)
 
     def block_mean_numba(img: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
         return _block_mean_nb(np.ascontiguousarray(img), grid_h, grid_w)

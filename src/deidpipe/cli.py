@@ -22,7 +22,16 @@ from .config import PipelineConfig
 from .dataio import read_dataset, read_pgm, write_dataset, write_deid_dataset
 from .encoders import ReferenceEncoder, max_relative_grad_error
 from .errors import DeidError
-from .evalkit import bleu_n, identity_probe, meteor_simplified, rouge_l, ssim
+from .evalkit import (
+    BLEU_EPSILON,
+    ROUGE_BETA,
+    SSIM_WINDOW,
+    bleu_n,
+    identity_probe,
+    meteor_simplified,
+    rouge_l,
+    ssim,
+)
 from .lexicon import load_lexicon_path
 from .pipeline import build_components, deid_dataset
 from .synth import generate_corpus
@@ -170,9 +179,9 @@ def cmd_eval(args) -> int:
     fingerprint = _fingerprint(
         {
             "metrics": sorted(metrics),
-            "bleu_epsilon": 1e-9,
-            "rouge_beta": 1.2,
-            "ssim_window": 8,
+            "bleu_epsilon": BLEU_EPSILON,
+            "rouge_beta": ROUGE_BETA,
+            "ssim_window": SSIM_WINDOW,
         }
     )
     lines = []
@@ -319,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="input dataset jsonl")
     p.add_argument("--output", help="output directory")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--workers", type=int, default=1, help="parallel record workers")
+    p.add_argument(
+        "--workers", type=int, default=1, help="accepted for existing scripts; has no effect"
+    )
     p.add_argument("--verbose-audit", action="store_true", help="per-position candidate dumps")
     p.add_argument("--print-defaults", action="store_true", help="print default config and exit")
     p.set_defaults(func=cmd_deid)

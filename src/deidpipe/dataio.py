@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -12,6 +13,10 @@ from .errors import DatasetError, FormatError
 
 if TYPE_CHECKING:
     from .pipeline import DeidRecord, Record
+
+# Record ids name output files (images/<id>.pgm), so they may hold no
+# path separator and may not start with a dot.
+_RECORD_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 def write_pgm(path, img: np.ndarray) -> None:
@@ -103,6 +108,10 @@ def read_dataset(path) -> "list[Record]":
             if missing:
                 raise FormatError(f"{where}: missing field(s) {', '.join(missing)}")
             rid = str(doc["id"])
+            if not _RECORD_ID.fullmatch(rid):
+                raise FormatError(
+                    f"{where}: record id {rid!r} must match {_RECORD_ID.pattern}"
+                )
             if rid in seen:
                 raise DatasetError(f"{where}: duplicate record id {rid!r}")
             seen.add(rid)

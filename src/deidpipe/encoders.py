@@ -106,7 +106,7 @@ class ReferenceEncoder:
     # optimizer and the pipeline.
 
     def encode_text(self, prompt: np.ndarray) -> np.ndarray:
-        prompt = _check_prompt(prompt, self.dim)
+        prompt = check_prompt(prompt, self.dim)
         pooled = prompt.mean(axis=0)
         return _normalize(self.text_weights @ pooled, "text feature")
 
@@ -117,7 +117,7 @@ class ReferenceEncoder:
 
     def grad_text(self, prompt: np.ndarray, f_img: np.ndarray) -> np.ndarray:
         """Gradient of 1 - cosine(encode_text(prompt), f_img) w.r.t. prompt."""
-        prompt = _check_prompt(prompt, self.dim)
+        prompt = check_prompt(prompt, self.dim)
         v = _normalize(np.asarray(f_img, dtype=np.float64), "image feature")
         pooled = prompt.mean(axis=0)
         z = self.text_weights @ pooled
@@ -130,7 +130,8 @@ class ReferenceEncoder:
         return np.tile(g_row, (prompt.shape[0], 1))
 
 
-def _check_prompt(prompt: np.ndarray, dim: int) -> np.ndarray:
+def check_prompt(prompt: np.ndarray, dim: int) -> np.ndarray:
+    """The prompt as float64, checked to be a finite (L, dim) matrix with L >= 1."""
     arr = np.asarray(prompt, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != dim:
         raise DeidError(f"prompt must be (L, {dim}) with L >= 1")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Union
 
 from .errors import LexiconError
@@ -53,10 +53,28 @@ class LexTerm:
         return tuple(self.surface.split(" "))
 
 
+PhraseIndex = tuple[dict[tuple[str, ...], LexTerm], int]
+
+
+def _phrase_index(terms: tuple[LexTerm, ...]) -> PhraseIndex:
+    """Terms keyed by their word tuple, plus the longest phrase length."""
+    index = {t.token_words: t for t in terms}
+    longest = max((len(k) for k in index), default=0)
+    return index, longest
+
+
 @dataclass(frozen=True)
 class Lexicon:
+    """Both term lists, with a phrase index of each built once for matching."""
+
     blacklist: tuple[LexTerm, ...]
     whitelist: tuple[LexTerm, ...]
+    _indexes: tuple[PhraseIndex, PhraseIndex] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_indexes", (_phrase_index(self.blacklist), _phrase_index(self.whitelist))
+        )
 
 
 @dataclass(frozen=True)
@@ -205,18 +223,12 @@ def load_lexicon_path(path) -> Lexicon:
     return load_lexicon(iter(black), iter(white))
 
 
-def _phrase_index(terms: tuple[LexTerm, ...]) -> tuple[dict[tuple[str, ...], LexTerm], int]:
-    index = {t.token_words: t for t in terms}
-    longest = max((len(k) for k in index), default=0)
-    return index, longest
-
-
 def _match_kind(
     spans: list[tuple[int, int, str]],
-    terms: tuple[LexTerm, ...],
+    phrase_index: PhraseIndex,
     kind: str,
 ) -> list[TermMatch]:
-    index, longest = _phrase_index(terms)
+    index, longest = phrase_index
     if not index:
         return []
     folded = [w.casefold() for _, _, w in spans]
@@ -255,8 +267,9 @@ def match_terms(text: str, lex: Lexicon) -> list[TermMatch]:
     of one kind never overlap each other.
     """
     spans = word_spans(text)
-    hits = _match_kind(spans, lex.blacklist, "blacklist")
-    hits += _match_kind(spans, lex.whitelist, "whitelist")
+    black, white = lex._indexes
+    hits = _match_kind(spans, black, "blacklist")
+    hits += _match_kind(spans, white, "whitelist")
     hits.sort(key=lambda m: (m.start, m.end))
     return hits
 

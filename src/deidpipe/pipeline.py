@@ -4,13 +4,12 @@ Per record: tokenize the report, optimize the continuous prompt against
 the image feature, project it to constrained token ids, synthesize a new
 image from those ids, and pair it with the filtered (or original) report.
 Every random choice derives from (config seed, record index), so results
-never depend on worker count or scheduling.
+never depend on how a run is scheduled.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,47 +247,38 @@ def deid_dataset(
 ) -> list[DeidRecord]:
     """De-identify a dataset; failed records are skipped and reported.
 
-    The per-record streams are derived from (cfg.seed, input index), so
-    any worker count produces identical output bytes. Failures append
-    (record_id, message) to the optional failures list.
+    Records run one after another in input order. Record i draws from
+    record_rng(cfg.seed, i), with i its index in the whole dataset, so
+    output bytes depend on nothing but the inputs and the seed. workers
+    is accepted for existing callers and has no effect: a thread pool
+    only made runs slower, because records are short, GIL-bound numpy
+    work. Failures append (record_id, message) to the optional failures
+    list.
     """
     ids = [rec.id for rec in records]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise DatasetError(f"duplicate record id(s): {', '.join(dupes)}")
     id_sets = token_id_sets(lex, vocab)
-
-    def run_one(pair):
-        index, rec = pair
+    outputs: list[DeidRecord] = []
+    for index, rec in enumerate(records):
         try:
-            return deid_record(
-                rec,
-                cfg,
-                lex,
-                vocab,
-                table,
-                enc,
-                gen,
-                rng=record_rng(cfg.seed, index),
-                id_sets=id_sets,
-                verbose_audit=verbose_audit,
+            outputs.append(
+                deid_record(
+                    rec,
+                    cfg,
+                    lex,
+                    vocab,
+                    table,
+                    enc,
+                    gen,
+                    rng=record_rng(cfg.seed, index),
+                    id_sets=id_sets,
+                    verbose_audit=verbose_audit,
+                )
             )
         except RecordError as exc:
-            return exc
-
-    jobs = list(enumerate(records))
-    if workers <= 1:
-        results = [run_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
-
-    outputs: list[DeidRecord] = []
-    for item in results:
-        if isinstance(item, RecordError):
-            log.warning("skipping failed record: %s", item)
+            log.warning("skipping failed record: %s", exc)
             if failures is not None:
-                failures.append((item.record_id, str(item)))
-        else:
-            outputs.append(item)
+                failures.append((exc.record_id, str(exc)))
     return outputs

@@ -82,15 +82,20 @@ def _ids_to_index(ids, size: int, what: str) -> np.ndarray:
     return arr
 
 
+def _unit_queries(rows: np.ndarray) -> np.ndarray:
+    """Scale each prompt row to unit length, the same way for one row or many."""
+    norms = np.sqrt(np.einsum("ld,ld->l", rows, rows))
+    if np.any(norms == 0.0):
+        raise DeidError("cannot score a zero-norm prompt row")
+    return rows / norms[:, None]
+
+
 def score_row(vec: np.ndarray, table: EmbeddingTable) -> ScoreRow:
     """Cosine of one prompt row against every table row; nothing excluded yet."""
     arr = np.asarray(vec, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != table.dim:
         raise DeidError(f"expected a vector of dim {table.dim}")
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
-        raise DeidError("cannot score a zero-norm prompt row")
-    scores = _kernels.cosine_scores(arr / norm, table.unit_rows)
+    scores = _kernels.cosine_scores(_unit_queries(arr[None, :])[0], table.unit_rows)
     return ScoreRow(scores=scores, excluded=np.zeros(table.size, dtype=bool))
 
 
@@ -161,6 +166,12 @@ def softmax_probabilities(cands: CandidateSet, temperature: float) -> np.ndarray
     return weights / weights.sum()
 
 
+def _id_mask(ids, size: int, what: str) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[_ids_to_index(ids, size, what)] = True
+    return mask
+
+
 def project_prompt(
     prompt: np.ndarray,
     table: EmbeddingTable,
@@ -172,38 +183,56 @@ def project_prompt(
     rng: np.random.Generator | None = None,
     audit: list | None = None,
 ) -> list[int]:
-    """Project every prompt row to a token id, position by position.
+    """Project every prompt row to a token id, all positions at once.
 
-    This is literally the composition score_row -> apply_blacklist ->
-    top_k -> bias_whitelist -> select_token at each position, so the
+    Position j gets what the composition score_row -> apply_blacklist ->
+    top_k -> bias_whitelist -> select_token gives for row j, so those
     single-position operations stay the ground truth for its behaviour.
-    Output never contains a blacklisted id. An optional audit list
+    One score matrix, every row against the non-blacklisted table rows,
+    serves all positions, and a softmax policy takes its L uniforms from
+    rng in one call, the same stream as L single draws. Output never contains a blacklisted id. An optional audit list
     receives one per-position candidate dump.
     """
     arr = np.asarray(prompt, dtype=np.float64)
     if arr.ndim != 2:
         raise DeidError("prompt must be 2-D")
-    if policy.mode == "softmax" and rng is None:
-        rng = np.random.default_rng(policy.rng_seed)
-    out: list[int] = []
-    for j in range(arr.shape[0]):
-        row = score_row(arr[j], table)
-        row = apply_blacklist(row, blacklist_ids)
-        try:
-            cands = top_k(row, k)
-        except VocabularyExhaustedError as exc:
-            raise VocabularyExhaustedError(f"position {j}: {exc}") from exc
-        cands = bias_whitelist(cands, whitelist_ids, bias)
-        chosen = select_token(cands, policy, rng)
-        if audit is not None:
+    if arr.shape[1] != table.dim:
+        raise DeidError(f"expected a vector of dim {table.dim}")
+    if not np.all(np.isfinite(arr)):
+        raise DeidError("score row contains non-finite values")
+    if k < 1:
+        raise DeidError("k must be >= 1")
+    if bias < 0.0:
+        raise DeidError("bias must be >= 0")
+    if arr.shape[0] == 0:
+        return []
+    avail = np.flatnonzero(~_id_mask(blacklist_ids, table.size, "blacklist"))
+    if avail.size == 0:
+        raise VocabularyExhaustedError("position 0: vocabulary exhausted by blacklist")
+    white = _id_mask(whitelist_ids, table.size, "whitelist")
+    scores = _kernels.cosine_scores(_unit_queries(arr), table.unit_rows[avail])
+    # A stable sort of -score keeps equal scores in ascending id order,
+    # the (-score, id) order of top_k.
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    ids = avail[order]
+    raw = np.take_along_axis(scores, order, axis=1)
+    biased = raw + bias * white[ids]
+    if policy.mode == "greedy":
+        best = biased == biased.max(axis=1, keepdims=True)
+        chosen = np.where(best, ids, table.size).min(axis=1)
+    else:
+        if rng is None:
+            rng = np.random.default_rng(policy.rng_seed)
+        logits = biased / policy.temperature
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        draws = rng.random(arr.shape[0]) * weights.sum(axis=1)
+        # searchsorted(side="right") on each row's cumulative weights
+        picks = (np.cumsum(weights, axis=1) <= draws[:, None]).sum(axis=1)
+        chosen = ids[np.arange(ids.shape[0]), np.minimum(picks, ids.shape[1] - 1)]
+    out = chosen.tolist()
+    if audit is not None:
+        for j, (cand, r, b, c) in enumerate(zip(ids.tolist(), raw.tolist(), biased.tolist(), out)):
             audit.append(
-                {
-                    "position": j,
-                    "candidate_ids": [int(i) for i in cands.ids],
-                    "raw_scores": [float(s) for s in cands.raw],
-                    "biased_scores": [float(s) for s in cands.biased],
-                    "chosen": chosen,
-                }
+                {"position": j, "candidate_ids": cand, "raw_scores": r, "biased_scores": b, "chosen": c}
             )
-        out.append(chosen)
     return out

@@ -175,6 +175,27 @@ def test_deid_missing_input_file_exits_2(corpus_dir, tmp_path):
     assert rc == 2
 
 
+def test_deid_rejects_path_traversal_record_id(corpus_dir, tmp_path, capsys):
+    doc = json.loads((corpus_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    doc["id"] = "../../escaped"
+    doc["image"] = {"path": str(corpus_dir / doc["image"]["path"])}
+    src = tmp_path / "in" / "dataset.jsonl"
+    src.parent.mkdir()
+    src.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    rc = main([
+        "deid",
+        "--input", str(src),
+        "--lexicon", str(corpus_dir / "lexicon.json"),
+        "--output", str(tmp_path / "out" / "run"),
+    ])
+    assert rc == 2
+    assert "record id" in capsys.readouterr().err
+    written = set(tmp_path.rglob("*")) - set(before)
+    assert all(p.is_relative_to(tmp_path / "out" / "run") for p in written if p.is_file())
+    assert not (tmp_path / "out" / "escaped.pgm").exists()
+
+
 def test_filter_reports_round_trip(corpus_dir, tmp_path, capsys):
     reports = [json.loads(l)["report"] for l in (corpus_dir / "dataset.jsonl").read_text().splitlines()]
     src = tmp_path / "reports.txt"

@@ -122,6 +122,14 @@ def test_read_dataset_rejects_duplicate_ids(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("rid", ["../../escaped", "/abs", "a/b", "a\\b", ".hidden", "", "-x", "a b"])
+def test_read_dataset_rejects_unsafe_ids(tmp_path, rid):
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(json.dumps(_doc(rid)) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="record id"):
+        read_dataset(path)
+
+
 def test_read_dataset_checks_pixel_range(tmp_path):
     path = tmp_path / "dataset.jsonl"
     path.write_text(json.dumps(_doc(value=2.0)) + "\n", encoding="utf-8")

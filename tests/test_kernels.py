@@ -41,6 +41,20 @@ def test_cosine_scores_self_row_is_one(impl):
     assert scores[2] == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("impl", _both("cosine_scores"))
+def test_cosine_scores_block_rows_equal_single_queries(impl):
+    rng = np.random.default_rng(8)
+    rows = _unit(rng, 301, 16)
+    rows[::7] = rows[5]
+    queries = _unit(rng, 23, 16)
+    block = impl(queries, rows)
+    assert block.shape == (23, 301)
+    for q, got in zip(queries, block):
+        np.testing.assert_array_equal(got, impl(q, rows))
+        np.testing.assert_allclose(got, naive_cosine_scores(q, rows), rtol=0, atol=1e-12)
+    assert np.all(block[:, ::7] == block[:, 5:6]), "equal rows must score bitwise equal"
+
+
 @pytest.mark.parametrize("impl", _both("block_mean"))
 @pytest.mark.parametrize("shape,grid", [((64, 64), (8, 8)), ((50, 37), (8, 8)), ((9, 9), (4, 4)), ((8, 8), (8, 8))])
 def test_block_mean_matches_reference(impl, shape, grid):

@@ -7,7 +7,7 @@ import pytest
 
 from deidpipe.config import PipelineConfig
 from deidpipe.encoders import ReferenceEncoder, alignment_grad, alignment_loss
-from deidpipe.errors import DeidError, OptimizationError
+from deidpipe.errors import DegenerateInputError, DeidError, OptimizationError
 from deidpipe.optimizer import optimize_prompt, refine_cycle
 from deidpipe.textkit import EmbeddingTable, embed
 
@@ -57,6 +57,33 @@ def test_default_settings_reduce_the_loss(enc):
         _, trace = optimize_prompt(prompt, f_img, enc, learning_rate=0.05, steps=50)
         improved += trace.losses[-1] < trace.losses[0]
     assert improved >= 29
+
+
+class _GenericOnly:
+    """Exposes only encode_text/grad_text, so optimize_prompt runs its generic loop."""
+
+    def __init__(self, enc):
+        self.encode_text, self.grad_text = enc.encode_text, enc.grad_text
+
+
+def test_pooled_mean_path_matches_generic_loop():
+    for seed in range(40):
+        enc = ReferenceEncoder.from_seed(dim=16, pool_grid=8, seed=seed)
+        prompt, f_img = _instance(seed + 200, enc, rows=1 + seed % 9)
+        f_img = f_img * (0.5 + seed)
+        for lr, steps in ((0.05, 50), (0.5, 7), (0.0, 3)):
+            fast, fast_trace = optimize_prompt(prompt, f_img, enc, lr, steps)
+            slow, slow_trace = optimize_prompt(prompt, f_img, _GenericOnly(enc), lr, steps)
+            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fast_trace.losses, slow_trace.losses, rtol=0, atol=1e-12)
+            assert fast_trace.losses[0] == slow_trace.losses[0]
+
+
+def test_zero_image_feature_is_degenerate_on_both_paths(enc):
+    prompt, _ = _instance(4, enc)
+    for encoder in (enc, _GenericOnly(enc)):
+        with pytest.raises(DegenerateInputError):
+            optimize_prompt(prompt, np.zeros(enc.dim), encoder, learning_rate=0.05, steps=2)
 
 
 def test_negative_learning_rate_rejected(enc):

@@ -228,3 +228,56 @@ def test_selection_policy_validation():
         SelectionPolicy(mode="lucky")
     with pytest.raises(DeidError):
         SelectionPolicy(mode="softmax", temperature=0.0)
+
+
+def _project_per_position(prompt, table, blacklist, whitelist, k, bias, policy, rng):
+    """project_prompt spelled out as the single-position composition."""
+    tokens, audit = [], []
+    for j, vec in enumerate(prompt):
+        cands = top_k(apply_blacklist(score_row(vec, table), blacklist), k)
+        cands = bias_whitelist(cands, whitelist, bias)
+        chosen = select_token(cands, policy, rng)
+        audit.append({
+            "position": j,
+            "candidate_ids": [int(i) for i in cands.ids],
+            "raw_scores": [float(s) for s in cands.raw],
+            "biased_scores": [float(s) for s in cands.biased],
+            "chosen": chosen,
+        })
+        tokens.append(chosen)
+    return tokens, audit
+
+
+def test_project_prompt_equals_per_position_composition():
+    rng = np.random.default_rng(16)
+    for case in range(240):
+        size, dim = int(rng.integers(5, 60)), int(rng.integers(3, 10))
+        vectors = rng.standard_normal((size, dim))
+        # duplicated rows score bitwise equal, so ties must go to the lower id
+        dupes = rng.integers(0, size, size=int(rng.integers(0, size // 2 + 1)))
+        vectors[dupes] = vectors[int(rng.integers(size))]
+        table = EmbeddingTable(vectors=vectors)
+        prompt = rng.standard_normal((int(rng.integers(1, 10)), dim))
+        prompt[0] = vectors[int(dupes[0]) if dupes.size else 0]
+        k = int(rng.integers(1, 12))
+        # some blacklists leave k or fewer ids available
+        keep = int(rng.integers(1, k + 2)) if case % 4 == 0 else int(rng.integers(min(k, size), size + 1))
+        ids = rng.permutation(size)
+        blacklist = set(int(i) for i in ids[keep:])
+        whitelist = set(int(i) for i in ids[: int(rng.integers(0, size))])
+        bias = float(rng.choice([0.0, 0.05, 0.5]))
+        mode = ("greedy", "softmax")[case % 2]
+        policy = SelectionPolicy(mode=mode, temperature=float(rng.choice([0.25, 1.0, 4.0])))
+        seed = int(rng.integers(2**31))
+        draws_batched, draws_single = np.random.default_rng(seed), np.random.default_rng(seed)
+        audit = []
+        got = project_prompt(
+            prompt, table, blacklist, whitelist, k=k, bias=bias,
+            policy=policy, rng=draws_batched, audit=audit,
+        )
+        want, want_audit = _project_per_position(
+            prompt, table, blacklist, whitelist, k, bias, policy, draws_single
+        )
+        assert got == want, f"case {case} ({mode})"
+        assert audit == want_audit, f"case {case} ({mode})"
+        assert draws_batched.random() == draws_single.random(), "rng streams diverged"
