@@ -1,8 +1,6 @@
-"""Benchmark the numba kernels against their pure-numpy twins.
+"""Benchmark the numpy kernels on representative workloads.
 
-Runs each hot kernel on a representative workload with both backends and
-prints per-call times plus the speedup. The numba side is JIT-warmed
-before timing so compilation cost never pollutes the numbers.
+Prints the best per-call time of each hot kernel over a few repeats.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats N] [--loops N]
@@ -50,30 +48,13 @@ def main() -> None:
     parser.add_argument("--loops", type=int, default=20, help="calls per repeat")
     args = parser.parse_args()
 
-    if _kernels.HAS_NUMBA:
-        _kernels.warmup()
-    rng = np.random.default_rng(0)
-
-    avail = "yes" if _kernels.HAS_NUMBA else "no"
-    print(f"active package backend: {_kernels.backend()} (numba importable: {avail})")
-    header = f"{'kernel':<16} {'workload':<16} {'numpy ms':>10} {'numba ms':>10} {'speedup':>8}"
+    header = f"{'kernel':<16} {'workload':<16} {'ms/call':>10}"
     print(header)
     print("-" * len(header))
-    for name, workload, base, call_args in _workloads(rng):
-        np_fn = getattr(_kernels, base + "_numpy")
-        t_np = _best_per_call(np_fn, call_args, args.loops, args.repeats)
-        if _kernels.HAS_NUMBA:
-            nb_fn = getattr(_kernels, base + "_numba")
-            got = np.asarray(nb_fn(*call_args))
-            np.testing.assert_allclose(got, np.asarray(np_fn(*call_args)), atol=1e-12)
-            t_nb = _best_per_call(nb_fn, call_args, args.loops, args.repeats)
-            ratio = f"{t_np / t_nb:7.1f}x"
-            nb_col = f"{1e3 * t_nb:10.4f}"
-        else:
-            ratio, nb_col = "     n/a", "       n/a"
-        print(f"{name:<16} {workload:<16} {1e3 * t_np:10.4f} {nb_col} {ratio:>8}")
-    if not _kernels.HAS_NUMBA:
-        print("\nnumba is unavailable or disabled; only the numpy backend was timed.")
+    for name, workload, base, call_args in _workloads(np.random.default_rng(0)):
+        fn = getattr(_kernels, base + "_numpy")
+        t = _best_per_call(fn, call_args, args.loops, args.repeats)
+        print(f"{name:<16} {workload:<16} {1e3 * t:10.4f}")
 
 
 if __name__ == "__main__":

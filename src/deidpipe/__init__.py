@@ -6,8 +6,6 @@ from .encoders import (
     alignment_grad,
     alignment_loss,
     cosine,
-    encode_image,
-    encode_text,
 )
 from .errors import (
     DatasetError,
@@ -58,7 +56,6 @@ from .textkit import (
     Removal,
     Vocabulary,
     build_vocab,
-    detokenize,
     embed,
     filter_report,
     random_prompt,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .dataio import read_dataset, read_pgm, write_dataset, write_deid_dataset
+from .dataio import canonical_json, read_dataset, read_pgm, write_dataset, write_deid_dataset
 from .encoders import ReferenceEncoder, max_relative_grad_error
 from .errors import DeidError
 from .evalkit import (
@@ -41,12 +41,8 @@ TEXT_METRICS = ("bleu-1", "bleu-2", "bleu-3", "bleu-4", "rouge-l", "meteor")
 ALL_METRICS = TEXT_METRICS + ("ssim",)
 
 
-def _canon(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def _fingerprint(doc: dict) -> str:
-    return hashlib.sha256(_canon(doc).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
 def _load_config(args) -> PipelineConfig:
@@ -132,23 +128,8 @@ def cmd_filter_reports(args) -> int:
             text = line.rstrip("\n")
             filtered, removals = filter_report(text, lex)
             dst.write(filtered + "\n")
-            audit.write(
-                _canon(
-                    {
-                        "line": lineno,
-                        "removals": [
-                            {
-                                "start": r.start,
-                                "end": r.end,
-                                "surface": r.surface,
-                                "category": r.category,
-                            }
-                            for r in removals
-                        ],
-                    }
-                )
-                + "\n"
-            )
+            doc = {"line": lineno, "removals": [r.to_dict() for r in removals]}
+            audit.write(canonical_json(doc) + "\n")
             n += 1
     print(f"filter-reports: {n} line(s) -> {out_path}")
     return 0
@@ -234,7 +215,7 @@ def cmd_eval(args) -> int:
                 "fingerprint": fingerprint,
             }
         )
-    payload = "\n".join(_canon(line) for line in lines) + "\n"
+    payload = "\n".join(canonical_json(line) for line in lines) + "\n"
     if args.output:
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         Path(args.output).write_text(payload, encoding="utf-8")
@@ -281,7 +262,7 @@ def cmd_synth_corpus(args) -> int:
     )
     with open(out_dir / "ground_truth.jsonl", "w", encoding="utf-8") as fh:
         for rec in corpus.records:
-            fh.write(_canon({"id": rec.id, "terms": corpus.ground_truth[rec.id]}) + "\n")
+            fh.write(canonical_json({"id": rec.id, "terms": corpus.ground_truth[rec.id]}) + "\n")
     print(
         f"synth-corpus: {len(corpus.records)} record(s), "
         f"{len(corpus.patients)} patient(s) -> {out_dir}"

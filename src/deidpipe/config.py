@@ -6,13 +6,17 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
 from pathlib import Path
 
+from .dataio import canonical_json
 from .errors import FormatError
 
 MODES = ("greedy", "softmax")
 PAIR_REPORT_CHOICES = ("original", "filtered")
 INIT_CHOICES = ("raw_report", "random")
+_INT_FIELDS = ("steps", "top_k", "max_prompt_len", "rounds", "seed")
+_REAL_FIELDS = ("learning_rate", "whitelist_bias", "temperature", "source_blend")
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,17 @@ class PipelineConfig:
     init: str = "raw_report"      # prompt initialization
 
     def __post_init__(self):
+        # bool is an int subclass, and True is no step count or seed.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise FormatError(f"{name} must be an integer")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise FormatError(f"{name} must be a number")
+        if not 0 <= self.seed < 2**63:
+            raise FormatError("seed must lie in [0, 2**63)")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise FormatError("learning_rate must be a finite value >= 0")
         if self.steps < 0:
@@ -82,5 +97,4 @@ class PipelineConfig:
 
     def fingerprint(self) -> str:
         """sha256 over the canonical field encoding; key order never matters."""
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8")).hexdigest()

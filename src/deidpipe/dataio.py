@@ -19,6 +19,11 @@ if TYPE_CHECKING:
 _RECORD_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
+def _check_record_id(rid: str, where: str) -> None:
+    if not _RECORD_ID.fullmatch(rid):
+        raise FormatError(f"{where}: record id {rid!r} must match {_RECORD_ID.pattern}")
+
+
 def write_pgm(path, img: np.ndarray) -> None:
     """Write an 8-bit binary PGM; pixels in [0, 1] quantize to 255 levels."""
     arr = np.asarray(img, dtype=np.float64)
@@ -70,11 +75,16 @@ def read_pgm(path) -> np.ndarray:
 
 
 def _image_from_field(doc: dict, base_dir: Path, where: str) -> np.ndarray:
+    """The record's image, inline or from a PGM path under base_dir (resolved)."""
     image = doc.get("image")
     if not isinstance(image, dict):
         raise FormatError(f"{where}: image must be an object")
     if "path" in image:
-        return read_pgm(base_dir / image["path"])
+        rel = image["path"]
+        target = (base_dir / rel).resolve() if isinstance(rel, str) else None
+        if target is None or not target.is_relative_to(base_dir):
+            raise FormatError(f"{where}: image path {rel!r} must lie under {base_dir}")
+        return read_pgm(target)
     if "pixels" in image:
         try:
             h, w = int(image["h"]), int(image["w"])
@@ -88,11 +98,15 @@ def _image_from_field(doc: dict, base_dir: Path, where: str) -> np.ndarray:
 
 
 def read_dataset(path) -> "list[Record]":
-    """Read one record per jsonl line; image paths resolve next to the file."""
+    """Read one record per jsonl line; image paths resolve next to the file.
+
+    An image path that resolves outside the file's directory, absolute or
+    through "..", is a FormatError.
+    """
     from .pipeline import Record
 
     path = Path(path)
-    base_dir = path.parent
+    base_dir = path.parent.resolve()
     records: list[Record] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -108,10 +122,7 @@ def read_dataset(path) -> "list[Record]":
             if missing:
                 raise FormatError(f"{where}: missing field(s) {', '.join(missing)}")
             rid = str(doc["id"])
-            if not _RECORD_ID.fullmatch(rid):
-                raise FormatError(
-                    f"{where}: record id {rid!r} must match {_RECORD_ID.pattern}"
-                )
+            _check_record_id(rid, where)
             if rid in seen:
                 raise DatasetError(f"{where}: duplicate record id {rid!r}")
             seen.add(rid)
@@ -126,58 +137,66 @@ def read_dataset(path) -> "list[Record]":
     return records
 
 
-def _canon(doc: dict) -> str:
+def canonical_json(doc) -> str:
+    """Sorted keys and no whitespace, so equal documents give equal bytes."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def write_dataset(records: "Sequence[Record]", path, images_dir: str = "images") -> None:
-    """Write records as jsonl plus one PGM per image under images_dir."""
+def _write_records(records, path, images_dir: str, doc_of) -> None:
+    """Write each record's PGM, then its jsonl line doc_of(rec, image field).
+
+    Every id is checked before anything is written, so no id can place a
+    file outside the dataset's directory.
+    """
+    records = list(records)
     path = Path(path)
+    for rec in records:
+        _check_record_id(rec.id, str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             rel = f"{images_dir}/{rec.id}.pgm"
             write_pgm(path.parent / rel, rec.image)
-            fh.write(
-                _canon(
-                    {
-                        "id": rec.id,
-                        "patient_id": rec.patient_id,
-                        "report": rec.report,
-                        "image": {"path": rel},
-                    }
-                )
-                + "\n"
-            )
+            fh.write(canonical_json(doc_of(rec, {"path": rel})) + "\n")
+
+
+def write_dataset(records: "Sequence[Record]", path, images_dir: str = "images") -> None:
+    """Write records as jsonl plus one PGM per image under images_dir."""
+    _write_records(
+        records,
+        path,
+        images_dir,
+        lambda rec, image: {
+            "id": rec.id,
+            "patient_id": rec.patient_id,
+            "report": rec.report,
+            "image": image,
+        },
+    )
 
 
 def write_deid_dataset(
     records: "Sequence[DeidRecord]", path, images_dir: str = "images"
 ) -> None:
     """Write de-identified records: report, prompt tokens, audit, PGM image."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            rel = f"{images_dir}/{rec.id}.pgm"
-            write_pgm(path.parent / rel, rec.image)
-            fh.write(
-                _canon(
-                    {
-                        "id": rec.id,
-                        "report": rec.report,
-                        "image": {"path": rel},
-                        "prompt_tokens": list(rec.prompt_tokens),
-                        "audit": rec.audit,
-                    }
-                )
-                + "\n"
-            )
+    _write_records(
+        records,
+        path,
+        images_dir,
+        lambda rec, image: {
+            "id": rec.id,
+            "report": rec.report,
+            "image": image,
+            "prompt_tokens": list(rec.prompt_tokens),
+            "audit": rec.audit,
+        },
+    )
 
 
 def read_deid_dataset(path) -> list[dict]:
     """Read a de-identified dataset back as dicts with loaded images."""
     path = Path(path)
+    base_dir = path.parent.resolve()
     out: list[dict] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -187,6 +206,6 @@ def read_deid_dataset(path) -> list[dict]:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: invalid json: {exc}") from exc
-            doc["image"] = read_pgm(path.parent / doc["image"]["path"])
+            doc["image"] = _image_from_field(doc, base_dir, f"{path}:{lineno}")
             out.append(doc)
     return out

@@ -140,14 +140,6 @@ def check_prompt(prompt: np.ndarray, dim: int) -> np.ndarray:
     return arr
 
 
-def encode_text(prompt: np.ndarray, enc) -> np.ndarray:
-    return enc.encode_text(prompt)
-
-
-def encode_image(image: np.ndarray, enc) -> np.ndarray:
-    return enc.encode_image(image)
-
-
 def alignment_loss(prompt: np.ndarray, f_img: np.ndarray, enc) -> float:
     """1 - cosine(encode_text(prompt), f_img); lies in [0, 2]."""
     return 1.0 - cosine(enc.encode_text(prompt), np.asarray(f_img, dtype=np.float64))

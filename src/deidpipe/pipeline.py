@@ -201,15 +201,7 @@ def deid_record(
         filtered, removals = filter_report(rec.report, lex)
         report = filtered if cfg.pair_report == "filtered" else rec.report
         audit = {
-            "removals": [
-                {
-                    "start": r.start,
-                    "end": r.end,
-                    "surface": r.surface,
-                    "category": r.category,
-                }
-                for r in removals
-            ],
+            "removals": [r.to_dict() for r in removals],
             "optimization": {
                 "rounds": cfg.rounds,
                 "steps_per_round": cfg.steps,

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .config import MODES
 from .errors import DeidError, VocabularyExhaustedError
 from .textkit import EmbeddingTable
-
-MODES = ("greedy", "softmax")
 
 
 @dataclass
@@ -65,7 +64,6 @@ class SelectionPolicy:
 
     mode: str = "greedy"
     temperature: float = 1.0
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -141,13 +139,14 @@ def select_token(
 
     greedy: argmax of the biased score, ties to the lowest id.
     softmax: sample proportionally to exp(biased / temperature), computed
-    with max subtraction so large scores never overflow.
+    with max subtraction so large scores never overflow. It draws from
+    rng, which it requires: a run is reproducible only from a seeded one.
     """
     if policy.mode == "greedy":
         order = np.lexsort((cands.ids, -cands.biased))
         return int(cands.ids[order[0]])
     if rng is None:
-        rng = np.random.default_rng(policy.rng_seed)
+        raise DeidError("softmax selection needs a random generator")
     logits = cands.biased / policy.temperature
     weights = np.exp(logits - logits.max())
     total = float(weights.sum())
@@ -190,7 +189,8 @@ def project_prompt(
     single-position operations stay the ground truth for its behaviour.
     One score matrix, every row against the non-blacklisted table rows,
     serves all positions, and a softmax policy takes its L uniforms from
-    rng in one call, the same stream as L single draws. Output never contains a blacklisted id. An optional audit list
+    rng in one call, the same stream as L single draws; softmax requires
+    rng. Output never contains a blacklisted id. An optional audit list
     receives one per-position candidate dump.
     """
     arr = np.asarray(prompt, dtype=np.float64)
@@ -204,6 +204,8 @@ def project_prompt(
         raise DeidError("k must be >= 1")
     if bias < 0.0:
         raise DeidError("bias must be >= 0")
+    if policy.mode == "softmax" and rng is None:
+        raise DeidError("softmax selection needs a random generator")
     if arr.shape[0] == 0:
         return []
     avail = np.flatnonzero(~_id_mask(blacklist_ids, table.size, "blacklist"))
@@ -221,8 +223,6 @@ def project_prompt(
         best = biased == biased.max(axis=1, keepdims=True)
         chosen = np.where(best, ids, table.size).min(axis=1)
     else:
-        if rng is None:
-            rng = np.random.default_rng(policy.rng_seed)
         logits = biased / policy.temperature
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))
         draws = rng.random(arr.shape[0]) * weights.sum(axis=1)

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DeidError, FormatError
+from .errors import DeidError
 from .lexicon import Lexicon, match_terms
 from .words import words
 
@@ -80,11 +78,6 @@ def tokenize(report: str, vocab: Vocabulary, max_len: int = DEFAULT_MAX_PROMPT_L
     return [vocab.id_of(w) if vocab.id_of(w) is not None else unk for w in pieces]
 
 
-def detokenize(seq: Sequence[int], vocab: Vocabulary) -> str:
-    """Space-joined surfaces; reserved ids render as their bracketed names."""
-    return " ".join(vocab.surface(t) for t in seq)
-
-
 @dataclass
 class EmbeddingTable:
     """Dense token embeddings: one row per vocabulary id.
@@ -132,33 +125,6 @@ class EmbeddingTable:
             raise DeidError("degenerate zero-norm row while seeding table")
         return cls(vectors / norms[:, None], seed=seed)
 
-    def save(self, path) -> None:
-        """Write the on-disk form: "size dim seed" header, then float32 rows."""
-        payload = self.vectors.astype("<f4").tobytes(order="C")
-        with open(path, "wb") as fh:
-            fh.write(f"{self.size} {self.dim} {self.seed}\n".encode("ascii"))
-            fh.write(payload)
-
-    @classmethod
-    def load(cls, path) -> "EmbeddingTable":
-        raw = Path(path).read_bytes()
-        newline = raw.find(b"\n")
-        if newline < 0:
-            raise FormatError(f"{path}: missing embedding table header")
-        try:
-            size_s, dim_s, seed_s = raw[:newline].decode("ascii").split()
-            size, dim, seed = int(size_s), int(dim_s), int(seed_s)
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed header {raw[:newline]!r}") from exc
-        body = raw[newline + 1 :]
-        expected = size * dim * 4
-        if len(body) != expected:
-            raise FormatError(
-                f"{path}: expected {expected} payload bytes, found {len(body)}"
-            )
-        vectors = np.frombuffer(body, dtype="<f4").reshape(size, dim).astype(np.float64)
-        return cls(vectors, seed=seed)
-
 
 def embed(seq: Sequence[int], table: EmbeddingTable) -> np.ndarray:
     """Stack embedding rows for a token sequence into an (L, D) prompt."""
@@ -185,6 +151,19 @@ class Removal:
     end: int
     surface: str
     category: str
+
+    def to_dict(self) -> dict:
+        """The form audit files store.
+
+        Built literally: dataclasses.asdict costs about 30 times as much,
+        and this runs for every removal of every record.
+        """
+        return {
+            "start": self.start,
+            "end": self.end,
+            "surface": self.surface,
+            "category": self.category,
+        }
 
 
 def filter_report(text: str, lex: Lexicon) -> tuple[str, list[Removal]]:

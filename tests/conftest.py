@@ -1,16 +1,10 @@
-"""Shared fixtures: compile the jit kernels once before anything is timed."""
+"""Shared fixtures."""
 
 from __future__ import annotations
 
 import pytest
 
-from deidpipe import _kernels
 from deidpipe.lexicon import load_lexicon
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    _kernels.warmup()
 
 
 @pytest.fixture()

@@ -196,6 +196,55 @@ def test_deid_rejects_path_traversal_record_id(corpus_dir, tmp_path, capsys):
     assert not (tmp_path / "out" / "escaped.pgm").exists()
 
 
+@pytest.mark.parametrize("where", ["absolute", "dotdot"])
+def test_deid_rejects_image_path_outside_input_dir(corpus_dir, tmp_path, capsys, where):
+    doc = json.loads((corpus_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    image = corpus_dir / doc["image"]["path"]
+    src = tmp_path / "in" / "dataset.jsonl"
+    src.parent.mkdir()
+    rel = str(image) if where == "absolute" else f"../{image.name}"
+    if where == "dotdot":
+        (tmp_path / image.name).write_bytes(image.read_bytes())
+    doc["image"] = {"path": rel}
+    src.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    rc = main([
+        "deid",
+        "--input", str(src),
+        "--lexicon", str(corpus_dir / "lexicon.json"),
+        "--output", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert "image path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"steps": 2.5},
+        {"top_k": 2.5},
+        {"max_prompt_len": 2.5},
+        {"rounds": 1.5},
+        {"seed": -1},
+        {"seed": "x"},
+        {"seed": 1e30},
+    ],
+)
+def test_deid_config_value_of_wrong_type_exits_2(corpus_dir, tmp_path, capsys, bad):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(bad), encoding="utf-8")
+    rc = main([
+        "deid",
+        "--config", str(cfg_path),
+        "--input", str(corpus_dir / "dataset.jsonl"),
+        "--lexicon", str(corpus_dir / "lexicon.json"),
+        "--output", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert next(iter(bad)) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_filter_reports_round_trip(corpus_dir, tmp_path, capsys):
     reports = [json.loads(l)["report"] for l in (corpus_dir / "dataset.jsonl").read_text().splitlines()]
     src = tmp_path / "reports.txt"

@@ -145,6 +145,44 @@ def test_read_dataset_accepts_inline_pixels(tmp_path):
     np.testing.assert_array_equal(recs[0].image, np.full((8, 8), 0.5))
 
 
+@pytest.mark.parametrize("reader", [read_dataset, read_deid_dataset])
+@pytest.mark.parametrize("where", ["absolute", "dotdot"])
+def test_readers_reject_image_paths_outside_the_dataset(tmp_path, reader, where):
+    outside = tmp_path / "outside.pgm"
+    write_pgm(outside, np.full((8, 8), 0.5))
+    rel = str(outside) if where == "absolute" else "images/../../outside.pgm"
+    path = tmp_path / "data" / "dataset.jsonl"
+    path.parent.mkdir()
+    path.write_text(json.dumps({**_doc(), "image": {"path": rel}}) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="image path"):
+        reader(path)
+
+
+def test_read_dataset_accepts_image_paths_that_stay_inside(tmp_path):
+    data = tmp_path / "data"
+    write_pgm(data / "images" / "a.pgm", np.full((8, 8), 0.5))
+    want = read_pgm(data / "images" / "a.pgm")
+    for i, rel in enumerate(["images/../images/a.pgm", str(data / "images" / "a.pgm")]):
+        path = data / f"dataset{i}.jsonl"
+        path.write_text(json.dumps({**_doc(), "image": {"path": rel}}) + "\n", encoding="utf-8")
+        np.testing.assert_array_equal(read_dataset(path)[0].image, want)
+
+
+@pytest.mark.parametrize(
+    "writer,make",
+    [
+        (write_dataset, lambda rid: Record(rid, "p", np.zeros((8, 8)), "r")),
+        (write_deid_dataset, lambda rid: DeidRecord(rid, np.zeros((8, 8)), "r", [4])),
+    ],
+    ids=["write_dataset", "write_deid_dataset"],
+)
+def test_writers_check_every_id_before_writing(tmp_path, writer, make):
+    path = tmp_path / "d" / "a" / "b" / "dataset.jsonl"
+    with pytest.raises(FormatError, match="record id"):
+        writer([make("ok"), make("../../escaped")], path)
+    assert list(tmp_path.rglob("*")) == [], "nothing may be written, in or outside d/a/b"
+
+
 def test_deid_dataset_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     outs = [
@@ -191,9 +229,21 @@ def test_config_validation_rejects_bad_values():
         {"source_blend": 1.5},
         {"pair_report": "both"},
         {"init": "zeros"},
+        {"steps": True},
+        {"rounds": 2.0},
+        {"seed": 2**63},
+        {"seed": False},
+        {"learning_rate": True},
+        {"temperature": "1"},
+        {"source_blend": None},
     ):
         with pytest.raises(FormatError):
             PipelineConfig.from_dict(bad)
+
+
+def test_config_accepts_integral_floats_and_the_largest_seed():
+    cfg = PipelineConfig(learning_rate=1, seed=2**63 - 1)
+    assert (cfg.learning_rate, cfg.seed) == (1, 2**63 - 1)
 
 
 def test_config_file_round_trip(tmp_path):

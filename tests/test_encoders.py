@@ -11,8 +11,6 @@ from deidpipe.encoders import (
     alignment_grad,
     alignment_loss,
     cosine,
-    encode_image,
-    encode_text,
     finite_difference_grad,
     max_relative_grad_error,
     validate_image,
@@ -34,7 +32,7 @@ def test_encode_text_matches_manual_computation(enc):
     prompt = _prompt(rng)
     z = enc.text_weights @ prompt.mean(axis=0)
     want = z / np.linalg.norm(z)
-    np.testing.assert_allclose(encode_text(prompt, enc), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(enc.encode_text(prompt), want, rtol=0, atol=1e-12)
 
 
 def test_encode_image_matches_manual_computation(enc):
@@ -43,35 +41,35 @@ def test_encode_image_matches_manual_computation(enc):
     pooled = _kernels.block_mean(img, 8, 8).ravel()
     z = enc.image_weights @ pooled
     want = z / np.linalg.norm(z)
-    np.testing.assert_allclose(encode_image(img, enc), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(enc.encode_image(img), want, rtol=0, atol=1e-12)
 
 
 def test_features_are_unit_length(enc):
     rng = np.random.default_rng(2)
-    assert np.linalg.norm(encode_text(_prompt(rng), enc)) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(encode_image(rng.random((32, 32)), enc)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(enc.encode_text(_prompt(rng))) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(enc.encode_image(rng.random((32, 32)))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_image_features_invariant_to_power_of_two_rescale(enc):
     rng = np.random.default_rng(3)
     img = rng.random((40, 40)) * 0.5
-    f1 = encode_image(img, enc)
-    f2 = encode_image(img * 2.0, enc)
+    f1 = enc.encode_image(img)
+    f2 = enc.encode_image(img * 2.0)
     np.testing.assert_array_equal(f1, f2)
 
 
 def test_image_features_invariant_to_general_positive_rescale(enc):
     rng = np.random.default_rng(4)
     img = rng.random((40, 40)) * 0.2
-    f1 = encode_image(img, enc)
-    f2 = encode_image(img * 3.7, enc)
+    f1 = enc.encode_image(img)
+    f2 = enc.encode_image(img * 3.7)
     np.testing.assert_allclose(f1, f2, rtol=0, atol=1e-12)
 
 
 def test_alignment_loss_range_and_best_case(enc):
     rng = np.random.default_rng(5)
     prompt = _prompt(rng)
-    f = encode_text(prompt, enc)
+    f = enc.encode_text(prompt)
     assert alignment_loss(prompt, f, enc) == pytest.approx(0.0, abs=1e-12)
     loss = alignment_loss(prompt, -f, enc)
     assert loss == pytest.approx(2.0, abs=1e-12)
@@ -121,12 +119,12 @@ def test_gradient_mean_direction_is_orthogonal_to_projection(enc):
 
 def test_zero_prompt_is_degenerate(enc):
     with pytest.raises(DegenerateInputError):
-        encode_text(np.zeros((4, 16)), enc)
+        enc.encode_text(np.zeros((4, 16)))
 
 
 def test_zero_image_is_degenerate(enc):
     with pytest.raises(DegenerateInputError):
-        encode_image(np.zeros((32, 32)), enc)
+        enc.encode_image(np.zeros((32, 32)))
 
 
 def test_cosine_rejects_zero_vectors():
@@ -154,7 +152,7 @@ def test_validate_image_rejects_bad_inputs():
 def test_prompt_dim_must_match_encoder(enc):
     rng = np.random.default_rng(9)
     with pytest.raises(DeidError):
-        encode_text(rng.standard_normal((4, 7)), enc)
+        enc.encode_text(rng.standard_normal((4, 7)))
 
 
 def test_from_seed_is_reproducible():

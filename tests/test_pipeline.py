@@ -21,7 +21,7 @@ from deidpipe.pipeline import (
     record_rng,
 )
 from deidpipe.synth import generate_corpus
-from deidpipe.textkit import build_vocab, tokenize
+from deidpipe.textkit import build_vocab
 
 
 def _sigmoid(z):

@@ -161,6 +161,19 @@ def test_softmax_is_seed_deterministic(table):
     assert a == b
 
 
+def test_softmax_without_generator_raises(table):
+    policy = SelectionPolicy(mode="softmax")
+    cands = bias_whitelist(top_k(score_row(_row(15), table), 6), set(), 0.0)
+    with pytest.raises(DeidError, match="random generator"):
+        select_token(cands, policy)
+    with pytest.raises(DeidError, match="random generator"):
+        project_prompt(
+            np.random.default_rng(15).standard_normal((4, 12)), table, set(), set(),
+            k=5, bias=0.0, policy=policy,
+        )
+    assert select_token(cands, SelectionPolicy(mode="greedy")) == int(cands.ids[0])
+
+
 def test_project_prompt_matches_end_to_end_oracle(table):
     rng = np.random.default_rng(12)
     prompt = rng.standard_normal((9, 12))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deidpipe.errors import DeidError, FormatError
+from deidpipe.errors import DeidError
 from deidpipe.lexicon import match_terms
 from deidpipe.textkit import (
     BOS_ID,
@@ -21,7 +21,6 @@ from deidpipe.textkit import (
     EmbeddingTable,
     Vocabulary,
     build_vocab,
-    detokenize,
     embed,
     filter_report,
     random_prompt,
@@ -77,12 +76,6 @@ def test_tokenize_empty_text_yields_single_unk():
     assert tokenize("...", vocab) == [UNK_ID]
 
 
-def test_detokenize_joins_surfaces():
-    vocab = build_vocab(["lungs clear"])
-    ids = tokenize("lungs clear", vocab)
-    assert detokenize(ids, vocab) == "lungs clear"
-
-
 def test_vocabulary_rejects_bad_reserved_prefix():
     with pytest.raises(DeidError):
         Vocabulary(surfaces=("[PAD]", "[UNK]", "word"))
@@ -96,27 +89,6 @@ def test_embedding_table_rows_fixed_by_seed_and_unit_length():
     np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
     t3 = EmbeddingTable.from_seed(30, 8, seed=6)
     assert not np.array_equal(t1.vectors, t3.vectors)
-
-
-def test_embedding_table_save_load_round_trip(tmp_path):
-    table = EmbeddingTable.from_seed(12, 6, seed=9)
-    p = tmp_path / "table.emb"
-    table.save(p)
-    loaded = EmbeddingTable.load(p)
-    np.testing.assert_array_equal(
-        table.vectors.astype(np.float32), loaded.vectors.astype(np.float32)
-    )
-    assert (loaded.size, loaded.dim) == (12, 6)
-
-
-def test_embedding_table_load_rejects_truncated_payload(tmp_path):
-    table = EmbeddingTable.from_seed(4, 4, seed=1)
-    p = tmp_path / "table.emb"
-    table.save(p)
-    data = p.read_bytes()
-    p.write_bytes(data[:-8])
-    with pytest.raises(FormatError):
-        EmbeddingTable.load(p)
 
 
 def test_embed_is_a_row_gather():
