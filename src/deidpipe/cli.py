@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -26,18 +27,20 @@ from .evalkit import (
     BLEU_EPSILON,
     ROUGE_BETA,
     SSIM_WINDOW,
-    bleu_n,
+    TEXT_METRICS,
     identity_probe,
-    meteor_simplified,
-    rouge_l,
     ssim,
+    text_scores,
 )
+
+# Not called here since eval scores each pair with text_scores; the
+# pipeline benchmark (pipebench/layers.py) still wraps these cli names.
+from .evalkit import bleu_n, meteor_simplified, rouge_l  # noqa: F401
 from .lexicon import load_lexicon_path
 from .pipeline import build_components, deid_dataset
 from .synth import generate_corpus
 from .textkit import build_vocab, filter_report, random_prompt
 
-TEXT_METRICS = ("bleu-1", "bleu-2", "bleu-3", "bleu-4", "rouge-l", "meteor")
 ALL_METRICS = TEXT_METRICS + ("ssim",)
 
 
@@ -139,16 +142,6 @@ def _read_lines(path) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
-def _text_metric(name: str, cand: str, ref: str) -> float:
-    if name.startswith("bleu-"):
-        return bleu_n(cand, ref, int(name[-1]))
-    if name == "rouge-l":
-        return rouge_l(cand, ref)
-    if name == "meteor":
-        return meteor_simplified(cand, ref)
-    raise DeidError(f"unknown text metric {name}")
-
-
 def cmd_eval(args) -> int:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = sorted(set(metrics) - set(ALL_METRICS))
@@ -181,8 +174,8 @@ def cmd_eval(args) -> int:
         if not cands:
             print("eval: empty candidate file", file=sys.stderr)
             return 2
-        for name in text_metrics:
-            scores = [_text_metric(name, c, r) for c, r in zip(cands, refs)]
+        rows = [text_scores(c, r, text_metrics) for c, r in zip(cands, refs)]
+        for name, scores in zip(text_metrics, zip(*rows)):
             lines.append(
                 {
                     "metric": name,
@@ -224,6 +217,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    for flag, value in (("--encoder-dim", args.encoder_dim), ("--pool-grid", args.pool_grid)):
+        if value < 1:
+            print(f"probe: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     train = read_dataset(args.train)
     eval_set = read_dataset(args.eval)
     enc = ReferenceEncoder.from_seed(
@@ -274,6 +271,10 @@ def cmd_gradcheck(args) -> int:
     if args.instances < 1:
         print("gradcheck: --instances must be >= 1", file=sys.stderr)
         return 2
+    for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            print(f"gradcheck: {flag} must be finite and > 0, got {value}", file=sys.stderr)
+            return 2
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst = 0.0
     failed = 0

@@ -192,20 +192,3 @@ def write_deid_dataset(
         },
     )
 
-
-def read_deid_dataset(path) -> list[dict]:
-    """Read a de-identified dataset back as dicts with loaded images."""
-    path = Path(path)
-    base_dir = path.parent.resolve()
-    out: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid json: {exc}") from exc
-            doc["image"] = _image_from_field(doc, base_dir, f"{path}:{lineno}")
-            out.append(doc)
-    return out

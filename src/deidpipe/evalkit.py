@@ -21,6 +21,7 @@ ROUGE_BETA = 1.2
 METEOR_SUFFIXES = ("ing", "ed", "ly", "es", "s")
 METEOR_MIN_STEM = 3
 SSIM_WINDOW = 8
+TEXT_METRICS = ("bleu-1", "bleu-2", "bleu-3", "bleu-4", "rouge-l", "meteor")
 
 
 def _tokens_or_error(text: str, what: str) -> list[str]:
@@ -28,6 +29,28 @@ def _tokens_or_error(text: str, what: str) -> list[str]:
     if not toks:
         raise DeidError(f"{what} has no word tokens")
     return toks
+
+
+def _ngrams(toks: list[str], k: int) -> Counter:
+    return Counter(zip(*(toks[i:] for i in range(k))))
+
+
+def _bleu_scores(cand: list[str], ref: list[str], max_n: int) -> list[float]:
+    """BLEU-1..max_n of one token pair; order k's clipped matches are counted once."""
+    brevity = np.exp(min(0.0, 1.0 - len(ref) / len(cand)))
+    scores = []
+    log_sum = 0.0
+    for k in range(1, max_n + 1):
+        total = len(cand) - k + 1
+        if total < 1:
+            precision = BLEU_EPSILON
+        else:
+            r_counts = _ngrams(ref, k)
+            matched = sum(min(c, r_counts[g]) for g, c in _ngrams(cand, k).items())
+            precision = matched / total if matched > 0 else BLEU_EPSILON
+        log_sum += np.log(precision)
+        scores.append(float(100.0 * brevity * np.exp(log_sum / k)))
+    return scores
 
 
 def bleu_n(candidate: str, reference: str, n: int) -> float:
@@ -40,44 +63,45 @@ def bleu_n(candidate: str, reference: str, n: int) -> float:
         raise DeidError("n must lie in 1..4")
     cand = _tokens_or_error(candidate, "candidate")
     ref = _tokens_or_error(reference, "reference")
-    log_sum = 0.0
-    for k in range(1, n + 1):
-        total = len(cand) - k + 1
-        if total < 1:
-            precision = BLEU_EPSILON
-        else:
-            c_counts = Counter(tuple(cand[i : i + k]) for i in range(total))
-            r_counts = Counter(
-                tuple(ref[i : i + k]) for i in range(len(ref) - k + 1)
-            )
-            matched = sum(min(c, r_counts[g]) for g, c in c_counts.items())
-            precision = matched / total if matched > 0 else BLEU_EPSILON
-        log_sum += np.log(precision)
-    brevity = np.exp(min(0.0, 1.0 - len(ref) / len(cand)))
-    return float(100.0 * brevity * np.exp(log_sum / n))
+    return _bleu_scores(cand, ref, n)[-1]
 
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+def lcs_length(a: list[str], b: list[str]) -> int:
+    """Length of the longest common subsequence of two token lists.
+
+    Bit-parallel (Allison and Dix 1986; Hyyrö 2004): with a[:i] read, bit
+    j of `row` is 0 exactly where LCS(a[:i], b[:j+1]) exceeds
+    LCS(a[:i], b[:j]), so the zero bits count the LCS. Each word of `a`
+    costs a few operations on one int of len(b) bits.
+    """
+    masks: dict[str, int] = {}
+    for j, w in enumerate(b):
+        masks[w] = masks.get(w, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    row = full
+    for w in a:
+        m = masks.get(w)
+        if m:
+            u = row & m
+            row = ((row + u) | (row - u)) & full
+    return len(b) - row.bit_count()
 
 
-def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
-    """LCS-based F-measure: (1 + b^2) P R / (R + b^2 P), x100."""
-    cand = _tokens_or_error(candidate, "candidate")
-    ref = _tokens_or_error(reference, "reference")
-    lcs = _lcs_length(cand, ref)
+def _rouge_l(cand: list[str], ref: list[str], beta: float = ROUGE_BETA) -> float:
+    lcs = lcs_length(cand, ref)
     if lcs == 0:
         return 0.0
     p = lcs / len(cand)
     r = lcs / len(ref)
     b2 = beta * beta
     return float(100.0 * (1.0 + b2) * p * r / (r + b2 * p))
+
+
+def rouge_l(candidate: str, reference: str, beta: float = ROUGE_BETA) -> float:
+    """LCS-based F-measure: (1 + b^2) P R / (R + b^2 P), x100."""
+    cand = _tokens_or_error(candidate, "candidate")
+    ref = _tokens_or_error(reference, "reference")
+    return _rouge_l(cand, ref, beta)
 
 
 def _stem(word: str) -> str:
@@ -115,14 +139,7 @@ def _align(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
     return pairs
 
 
-def meteor_simplified(candidate: str, reference: str) -> float:
-    """Unigram F-mean weighted toward recall, with a fragmentation penalty.
-
-    F = 10 P R / (R + 9 P); penalty = 0.5 (chunks / matches)^3 where a
-    chunk is a run of matches contiguous in both sentences. x100.
-    """
-    cand = _tokens_or_error(candidate, "candidate")
-    ref = _tokens_or_error(reference, "reference")
+def _meteor(cand: list[str], ref: list[str]) -> float:
     pairs = _align(cand, ref)
     m = len(pairs)
     if m == 0:
@@ -136,6 +153,38 @@ def meteor_simplified(candidate: str, reference: str) -> float:
             chunks += 1
     penalty = 0.5 * (chunks / m) ** 3
     return float(100.0 * f_mean * (1.0 - penalty))
+
+
+def meteor_simplified(candidate: str, reference: str) -> float:
+    """Unigram F-mean weighted toward recall, with a fragmentation penalty.
+
+    F = 10 P R / (R + 9 P); penalty = 0.5 (chunks / matches)^3 where a
+    chunk is a run of matches contiguous in both sentences. x100.
+    """
+    cand = _tokens_or_error(candidate, "candidate")
+    ref = _tokens_or_error(reference, "reference")
+    return _meteor(cand, ref)
+
+
+def text_scores(candidate: str, reference: str, metrics: list[str]) -> list[float]:
+    """One pair's score under each named metric of TEXT_METRICS, in the order given.
+
+    Each side is tokenized once and BLEU counts n-grams once up to the
+    largest order named, so one call replaces a call per metric. Every
+    value equals the one bleu_n, rouge_l or meteor_simplified returns.
+    """
+    unknown = sorted(set(metrics) - set(TEXT_METRICS))
+    if unknown:
+        raise DeidError(f"unknown text metric(s): {', '.join(unknown)}")
+    cand = _tokens_or_error(candidate, "candidate")
+    ref = _tokens_or_error(reference, "reference")
+    max_n = max((int(m[-1]) for m in metrics if m.startswith("bleu-")), default=0)
+    scores = {f"bleu-{n}": v for n, v in enumerate(_bleu_scores(cand, ref, max_n), start=1)}
+    if "rouge-l" in metrics:
+        scores["rouge-l"] = _rouge_l(cand, ref)
+    if "meteor" in metrics:
+        scores["meteor"] = _meteor(cand, ref)
+    return [scores[m] for m in metrics]
 
 
 def ssim(x: np.ndarray, y: np.ndarray) -> float:

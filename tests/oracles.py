@@ -143,6 +143,17 @@ def naive_bleu_1(candidate_words: list[str], reference_words: list[str]) -> floa
     return 100.0 * brevity * precision
 
 
+def naive_lcs_length(a: list[str], b: list[str]) -> int:
+    """Longest common subsequence length by the textbook O(len(a) len(b)) table."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
 def naive_meteor(candidate_words: list[str], reference_words: list[str]) -> float:
     """Simplified METEOR: exact then suffix-stem alignment, chunk penalty."""
 

@@ -11,7 +11,9 @@ import pytest
 from deidpipe.cli import main
 from deidpipe.config import PipelineConfig
 from deidpipe.dataio import read_pgm, write_pgm
+from deidpipe.evalkit import TEXT_METRICS, bleu_n, meteor_simplified, rouge_l
 from deidpipe.lexicon import load_lexicon_path, match_terms
+from deidpipe.synth import generate_corpus
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +289,43 @@ def test_eval_text_metrics(tmp_path, capsys):
     assert (tmp_path / "scores.jsonl").read_text(encoding="utf-8").count("\n") == 3
 
 
+def test_eval_text_metrics_equal_the_public_functions(tmp_path, capsys):
+    reports = [r.report for r in generate_corpus(30, 5, seed=11).records]
+    cands, refs = reports, reports[7:] + reports[:7]
+    (tmp_path / "c.txt").write_text("\n".join(cands) + "\n", encoding="utf-8")
+    (tmp_path / "r.txt").write_text("\n".join(refs) + "\n", encoding="utf-8")
+    rc = main([
+        "eval", "--metrics", ",".join(TEXT_METRICS),
+        "--candidates", str(tmp_path / "c.txt"),
+        "--references", str(tmp_path / "r.txt"),
+    ])
+    assert rc == 0
+    got = {d["metric"]: d["value"] for d in map(json.loads, capsys.readouterr().out.splitlines())}
+    public = {f"bleu-{n}": lambda c, r, n=n: bleu_n(c, r, n) for n in (1, 2, 3, 4)}
+    public.update({"rouge-l": rouge_l, "meteor": meteor_simplified})
+    for name in TEXT_METRICS:
+        scores = [public[name](c, r) for c, r in zip(cands, refs)]
+        assert got[name] == sum(scores) / len(scores), name
+
+
+@pytest.mark.parametrize("side", ["candidates", "references"])
+@pytest.mark.parametrize("line", ["", "... --- !!!"])
+def test_eval_empty_or_wordless_line_exits_2(tmp_path, capsys, side, line):
+    files = {"candidates": "lungs clear\nheart normal\n", "references": "lungs clear\nheart normal\n"}
+    files[side] = f"lungs clear\n{line}\n"
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    rc = main([
+        "eval", "--metrics", ",".join(TEXT_METRICS),
+        "--candidates", str(tmp_path / "candidates"),
+        "--references", str(tmp_path / "references"),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert side[:-1] in captured.err and "no word tokens" in captured.err
+
+
 def test_eval_rejects_unknown_metric(tmp_path, capsys):
     rc = main(["eval", "--metrics", "wer"])
     assert rc == 2
@@ -385,6 +424,15 @@ def test_probe_single_class_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", ["--encoder-dim", "--pool-grid"])
+def test_probe_rejects_sizes_below_one_before_reading(tmp_path, capsys, flag):
+    missing = tmp_path / "no-such-dataset.jsonl"
+    rc = main(["probe", "--train", str(missing), "--eval", str(missing), flag, "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert flag in err and "no-such-dataset" not in err
+
+
 def test_gradcheck_passes_by_default(capsys):
     rc = main(["gradcheck", "--instances", "5"])
     assert rc == 0
@@ -401,3 +449,13 @@ def test_gradcheck_injected_bug_fails(capsys):
 def test_gradcheck_zero_instances_is_usage_error(capsys):
     rc = main(["gradcheck", "--instances", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag", ["--step", "--tolerance"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_gradcheck_rejects_non_positive_or_non_finite_flags(capsys, flag, value):
+    rc = main(["gradcheck", "--instances", "1", flag, value])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""

@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from deidpipe.encoders import ReferenceEncoder
 from deidpipe.errors import DeidError
 from deidpipe.evalkit import (
+    TEXT_METRICS,
     ProbeResult,
     bleu_n,
     identity_probe,
+    lcs_length,
     meteor_simplified,
     rouge_l,
     ssim,
+    text_scores,
 )
+from deidpipe.synth import generate_corpus
 from deidpipe.words import words
-from oracles import naive_bleu_1, naive_meteor, naive_ssim
+from oracles import naive_bleu_1, naive_lcs_length, naive_meteor, naive_ssim
 
 CAND = "lungs clear"
 REF = "the lungs are clear"
@@ -79,6 +83,60 @@ def test_bleu_rejects_bad_order_and_empty_text():
 def test_rouge_l_subsequence_not_substring():
     # c-a-t is a subsequence of the reference even with gaps
     assert rouge_l("cat gone wild", "cat was gone quite wild") > 50.0
+
+
+LCS_WORDS = ["a", "b", "c", "lungs", "clear", "é", "straße", "肺", "x" * 70]
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([], []),
+        ([], ["a", "b"]),
+        (["a", "b"], []),
+        (["a"] * 9, ["a"] * 5),
+        (["a", "b", "c"], ["x", "y", "z"]),
+        ([f"w{i}" for i in range(150)], [f"w{i}" for i in range(0, 150, 2)]),
+        (["c", "a"] * 40, ["a", "c"] * 45),
+        (["é", "straße", "肺", "é"], ["肺", "é", "é", "straße"]),
+    ],
+    ids=["both-empty", "empty-a", "empty-b", "all-equal", "no-shared", "over-64", "repeats", "non-ascii"],
+)
+def test_lcs_length_matches_table_on_edge_cases(a, b):
+    assert lcs_length(a, b) == naive_lcs_length(a, b)
+    assert lcs_length(b, a) == naive_lcs_length(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.sampled_from(LCS_WORDS), max_size=140),
+    b=st.lists(st.sampled_from(LCS_WORDS), max_size=140),
+)
+def test_lcs_length_matches_table(a, b):
+    assert lcs_length(a, b) == naive_lcs_length(a, b)
+
+
+def test_text_scores_equal_the_single_metric_functions():
+    corpus = generate_corpus(40, 5, seed=3)
+    reports = [r.report for r in corpus.records]
+    pairs = list(zip(reports, reports[1:] + reports[:1])) + [(reports[0], reports[0])]
+    pairs += [("lungs clear", "the lungs are clear"), ("a", "b c d e"), ("a b c d e", "a")]
+    names = list(TEXT_METRICS)
+    for cand, ref in pairs:
+        want = [bleu_n(cand, ref, n) for n in (1, 2, 3, 4)]
+        want += [rouge_l(cand, ref), meteor_simplified(cand, ref)]
+        assert text_scores(cand, ref, names) == want
+        assert text_scores(cand, ref, names[::-1]) == want[::-1]
+        assert text_scores(cand, ref, ["bleu-2", "meteor", "bleu-2"]) == [want[1], want[5], want[1]]
+
+
+def test_text_scores_rejects_unknown_names_and_wordless_text():
+    with pytest.raises(DeidError, match="wer"):
+        text_scores("a", "b", ["bleu-1", "wer"])
+    with pytest.raises(DeidError, match="candidate"):
+        text_scores("...", "b", ["rouge-l"])
+    with pytest.raises(DeidError, match="reference"):
+        text_scores("a", "", ["meteor"])
 
 
 def test_meteor_identity_matches_formula():

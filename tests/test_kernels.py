@@ -98,6 +98,45 @@ def test_ssim_mean_identical_images_is_exactly_one(impl):
     assert impl(x, x.copy(), 8) == 1.0
 
 
+def _ssim_cases():
+    rng = np.random.default_rng(9)
+
+    def pair(make):
+        return make(), make()
+
+    return {
+        "17x40": (pair(lambda: rng.random((17, 40))), 8),
+        "40x17": (pair(lambda: rng.random((40, 17))), 8),
+        "one-window-row": (pair(lambda: rng.random((8, 30))), 8),
+        "one-window-column": (pair(lambda: rng.random((30, 5))), 5),
+        "one-window": (pair(lambda: rng.random((12, 12))), 12),
+        "64-random": (pair(lambda: rng.random((64, 64))), 8),
+        "64-quantized": (pair(lambda: np.rint(rng.random((64, 64)) * 255.0) / 255.0), 8),
+        "near-flat-1e-3": (pair(lambda: 0.95 + 1e-3 * rng.random((64, 64))), 8),
+        "near-flat-1e-6": (pair(lambda: 0.7 + 1e-6 * rng.random((64, 64))), 8),
+        "128-random": (pair(lambda: rng.random((128, 128))), 8),
+    }
+
+
+SSIM_CASES = _ssim_cases()
+
+
+@pytest.mark.parametrize("impl", [_kernels.ssim_mean_numpy])
+@pytest.mark.parametrize("case", sorted(SSIM_CASES))
+def test_ssim_mean_matches_reference_across_shapes(impl, case):
+    (x, y), win = SSIM_CASES[case]
+    assert impl(x, y, win) == pytest.approx(naive_ssim(x, y, win), abs=1e-12)
+    assert impl(x, x.copy(), win) == 1.0
+    assert impl(y, y.copy(), win) == 1.0
+
+
+@pytest.mark.parametrize("impl", [_kernels.ssim_mean_numpy])
+def test_ssim_mean_rejects_a_window_larger_than_the_image(impl):
+    x = np.zeros((8, 30))
+    with pytest.raises(ValueError):
+        impl(x, x, 9)
+
+
 def test_backend_name_is_consistent_with_bindings():
     assert _kernels.backend() == "numpy"
     for name in ("cosine_scores", "block_mean", "lowpass_block4", "ssim_mean"):
