@@ -39,17 +39,7 @@ from .pipeline import (
     generate_image,
     record_rng,
 )
-from .projection import (
-    CandidateSet,
-    ScoreRow,
-    SelectionPolicy,
-    apply_blacklist,
-    bias_whitelist,
-    project_prompt,
-    score_row,
-    select_token,
-    top_k,
-)
+from .projection import SelectionPolicy, project_prompt, score_row
 from .synth import SynthCorpus, generate_corpus
 from .textkit import (
     EmbeddingTable,

@@ -144,6 +144,9 @@ def _read_lines(path) -> list[str]:
 
 def cmd_eval(args) -> int:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metrics:
+        print(f"eval: --metrics is empty; choose from {', '.join(ALL_METRICS)}", file=sys.stderr)
+        return 2
     unknown = sorted(set(metrics) - set(ALL_METRICS))
     if unknown:
         print(f"eval: unknown metric(s): {', '.join(unknown)}", file=sys.stderr)
@@ -217,9 +220,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    for flag, value in (("--encoder-dim", args.encoder_dim), ("--pool-grid", args.pool_grid)):
-        if value < 1:
-            print(f"probe: {flag} must be >= 1, got {value}", file=sys.stderr)
+    for flag, value, low in (
+        ("--encoder-dim", args.encoder_dim, 1),
+        ("--pool-grid", args.pool_grid, 1),
+        ("--encoder-seed", args.encoder_seed, 0),
+    ):
+        if value < low:
+            print(f"probe: {flag} must be >= {low}, got {value}", file=sys.stderr)
             return 2
     train = read_dataset(args.train)
     eval_set = read_dataset(args.eval)

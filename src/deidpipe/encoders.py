@@ -101,10 +101,6 @@ class ReferenceEncoder:
             seed=seed,
         )
 
-    # The three-method surface below is the pluggable encoder interface;
-    # anything with encode_text/encode_image/grad_text can drive the
-    # optimizer and the pipeline.
-
     def encode_text(self, prompt: np.ndarray) -> np.ndarray:
         prompt = check_prompt(prompt, self.dim)
         pooled = prompt.mean(axis=0)

@@ -277,9 +277,9 @@ def match_terms(text: str, lex: Lexicon) -> list[TermMatch]:
 def token_id_sets(lex: Lexicon, vocab) -> tuple[set[int], set[int]]:
     """Map lexicon phrases onto vocabulary token ids.
 
-    Multi-word phrases contribute every constituent word's id. Words
-    absent from the vocabulary are reported through the module logger
-    rather than silently dropped.
+    Multi-word phrases contribute every constituent word's id. The number
+    of words absent from the vocabulary goes to the module logger; the
+    words themselves do not, since blacklist words are PHI.
     """
     out: list[set[int]] = []
     for kind, terms in (("blacklist", lex.blacklist), ("whitelist", lex.whitelist)):
@@ -293,11 +293,6 @@ def token_id_sets(lex: Lexicon, vocab) -> tuple[set[int], set[int]]:
                 else:
                     ids.add(tid)
         if missing:
-            log.warning(
-                "%d %s word(s) absent from vocabulary: %s",
-                len(missing),
-                kind,
-                ", ".join(sorted(missing)),
-            )
+            log.warning("%d %s word(s) absent from vocabulary", len(missing), kind)
         out.append(ids)
     return out[0], out[1]

@@ -8,7 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .encoders import ReferenceEncoder, alignment_grad, alignment_loss, check_prompt
+from .encoders import ReferenceEncoder, check_prompt
+
+# Not called here since optimize_prompt descends on the pooled mean; the
+# pipeline benchmark (pipebench/layers.py) still wraps these optimizer names.
+from .encoders import alignment_grad, alignment_loss  # noqa: F401
 from .errors import DegenerateInputError, DeidError, OptimizationError
 from .projection import SelectionPolicy, project_prompt
 from .textkit import EmbeddingTable, embed
@@ -26,57 +30,27 @@ class OptTrace:
 def optimize_prompt(
     prompt: np.ndarray,
     f_img: np.ndarray,
-    enc,
+    enc: ReferenceEncoder,
     learning_rate: float,
     steps: int,
 ) -> tuple[np.ndarray, OptTrace]:
     """Run exactly `steps` full-gradient updates H <- H - learning_rate * grad.
 
     Returns the final prompt and a trace of steps + 1 losses. The run is
-    bitwise deterministic; a non-finite loss or gradient aborts with the
-    offending step index. A ReferenceEncoder takes the pooled-mean path;
-    any other encoder runs the generic loop on the full prompt.
+    bitwise deterministic; a non-finite loss or prompt aborts with the
+    offending step index.
+
+    The loss sees the prompt only through the pooled mean m, and every
+    gradient row is the same vector g (see the encoders module), so
+    H <- H - lr * g moves each row, and m, by the same step. Descending on
+    m and returning H0 + (m - m0) gives the full-prompt result up to
+    rounding. Each step computes z = W_t m once for both the loss and the
+    next gradient, with the arithmetic of encode_text, cosine and grad_text.
     """
     if learning_rate < 0.0:
         raise DeidError("learning_rate must be >= 0")
     if steps < 0:
         raise DeidError("steps must be >= 0")
-    if isinstance(enc, ReferenceEncoder):
-        return _optimize_pooled(prompt, f_img, enc, learning_rate, steps)
-    current = np.array(prompt, dtype=np.float64, copy=True)
-    losses = np.empty(steps + 1, dtype=np.float64)
-    losses[0] = alignment_loss(current, f_img, enc)
-    if not np.isfinite(losses[0]):
-        raise OptimizationError("non-finite loss at step 0")
-    for t in range(1, steps + 1):
-        grad = alignment_grad(current, f_img, enc)
-        if not np.all(np.isfinite(grad)):
-            raise OptimizationError(f"non-finite gradient at step {t}")
-        current = current - learning_rate * grad
-        if not np.all(np.isfinite(current)):
-            raise OptimizationError(f"non-finite prompt at step {t}")
-        losses[t] = alignment_loss(current, f_img, enc)
-        if not np.isfinite(losses[t]):
-            raise OptimizationError(f"non-finite loss at step {t}")
-    return current, OptTrace(losses=losses, step_count=steps, learning_rate=learning_rate)
-
-
-def _optimize_pooled(
-    prompt: np.ndarray,
-    f_img: np.ndarray,
-    enc: ReferenceEncoder,
-    learning_rate: float,
-    steps: int,
-) -> tuple[np.ndarray, OptTrace]:
-    """The generic loop for a ReferenceEncoder, run on the pooled mean m.
-
-    The loss sees the prompt only through m, and every gradient row is
-    the same vector g (see the encoders module), so H <- H - lr * g moves
-    each row, and m, by the same step. Descending on m and returning
-    H0 + (m - m0) gives the generic result up to rounding. Each step
-    computes z = W_t m once for both the loss and the next gradient, with
-    the arithmetic of encode_text, cosine and grad_text.
-    """
     start = check_prompt(prompt, enc.dim)
     f = np.asarray(f_img, dtype=np.float64)
     nf = math.sqrt(f.dot(f))

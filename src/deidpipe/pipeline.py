@@ -169,14 +169,15 @@ def deid_record(
     enc: ReferenceEncoder,
     gen: ToyGenerator,
     rng: np.random.Generator,
-    id_sets: tuple[set[int], set[int]] | None = None,
+    id_sets: tuple[set[int], set[int]],
     verbose_audit: bool = False,
 ) -> DeidRecord:
-    """De-identify one record; any failure is re-raised tagged with its id."""
+    """De-identify one record; any failure is re-raised tagged with its id.
+
+    id_sets is token_id_sets(lex, vocab), computed once per dataset.
+    """
     try:
-        blacklist_ids, whitelist_ids = (
-            id_sets if id_sets is not None else token_id_sets(lex, vocab)
-        )
+        blacklist_ids, whitelist_ids = id_sets
         ids = tokenize(rec.report, vocab, cfg.max_prompt_len)
         if cfg.init == "raw_report":
             prompt = embed(ids, table)

@@ -2,7 +2,10 @@
 
 Everything here is written the most obvious way possible, with plain
 loops and no shared code with the package internals, so a bug in the
-fast path cannot hide in its oracle.
+fast path cannot hide in its oracle. The per-position projection stages
+and the full-prompt descent loop are the references project_prompt and
+optimize_prompt must reproduce; the descent loop reaches the encoder only
+through its public loss and gradient.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import re
 from collections import Counter
 
 import numpy as np
+
+from deidpipe.encoders import alignment_grad, alignment_loss
+from deidpipe.errors import DeidError, OptimizationError, VocabularyExhaustedError
 
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -106,6 +112,80 @@ def naive_project_sequence(
         biased.sort(key=lambda p: (-p[1], p[0]))
         out.append(biased[0][0])
     return out
+
+
+def apply_blacklist(scores: np.ndarray, blacklist_ids) -> np.ndarray:
+    """Exclusion mask for one position's score row: True at each blacklisted id."""
+    excluded = np.zeros(scores.shape[0], dtype=bool)
+    for tid in blacklist_ids:
+        excluded[int(tid)] = True
+    return excluded
+
+
+def top_k(scores: np.ndarray, excluded: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, raw scores) of the k best non-excluded ids, score-descending, ties to lower id."""
+    avail = np.flatnonzero(~excluded)
+    if avail.size == 0:
+        raise VocabularyExhaustedError("vocabulary exhausted by blacklist")
+    kept = scores[avail]
+    order = np.lexsort((avail, -kept))[:k]
+    return avail[order], kept[order]
+
+
+def bias_whitelist(ids: np.ndarray, raw: np.ndarray, whitelist_ids, bias: float) -> np.ndarray:
+    """Biased scores: raw plus `bias` for each candidate on the whitelist."""
+    white = set(int(i) for i in whitelist_ids)
+    member = np.array([int(i) in white for i in ids], dtype=bool)
+    return raw + bias * member
+
+
+def softmax_probabilities(biased: np.ndarray, temperature: float) -> np.ndarray:
+    """Exact selection distribution the softmax policy samples from."""
+    logits = biased / temperature
+    weights = np.exp(logits - logits.max())
+    return weights / weights.sum()
+
+
+def select_token(ids: np.ndarray, biased: np.ndarray, policy, rng=None) -> int:
+    """Pick one candidate id under the policy.
+
+    greedy: argmax of the biased score, ties to the lowest id. softmax:
+    one uniform from rng, placed on the cumulative exp(biased / temperature)
+    weights, computed with max subtraction.
+    """
+    if policy.mode == "greedy":
+        return int(ids[np.lexsort((ids, -biased))[0]])
+    if rng is None:
+        raise DeidError("softmax selection needs a random generator")
+    logits = biased / policy.temperature
+    weights = np.exp(logits - logits.max())
+    draw = float(rng.random()) * float(weights.sum())
+    pick = int(np.searchsorted(np.cumsum(weights), draw, side="right"))
+    return int(ids[min(pick, ids.size - 1)])  # guard the last-bin rounding edge
+
+
+def naive_optimize_prompt(prompt, f_img, enc, learning_rate: float, steps: int):
+    """Full-prompt gradient descent through the encoder's encode_text/grad_text.
+
+    Returns the final prompt and the steps + 1 losses, aborting with the
+    step index on a non-finite loss, gradient or prompt.
+    """
+    current = np.array(prompt, dtype=np.float64, copy=True)
+    losses = np.empty(steps + 1, dtype=np.float64)
+    losses[0] = alignment_loss(current, f_img, enc)
+    if not np.isfinite(losses[0]):
+        raise OptimizationError("non-finite loss at step 0")
+    for t in range(1, steps + 1):
+        grad = alignment_grad(current, f_img, enc)
+        if not np.all(np.isfinite(grad)):
+            raise OptimizationError(f"non-finite gradient at step {t}")
+        current = current - learning_rate * grad
+        if not np.all(np.isfinite(current)):
+            raise OptimizationError(f"non-finite prompt at step {t}")
+        losses[t] = alignment_loss(current, f_img, enc)
+        if not np.isfinite(losses[t]):
+            raise OptimizationError(f"non-finite loss at step {t}")
+    return current, losses
 
 
 def naive_match_spans(text: str, surfaces: list[str], max_words: int = 8):

@@ -19,20 +19,18 @@ from deidpipe.evalkit import bleu_n, identity_probe, rouge_l, ssim
 from deidpipe.lexicon import load_lexicon_json, match_terms, token_id_sets
 from deidpipe.optimizer import optimize_prompt
 from deidpipe.pipeline import build_components, deid_dataset, generate_image
-from deidpipe.projection import (
-    SelectionPolicy,
+from deidpipe.projection import SelectionPolicy, project_prompt, score_row
+from deidpipe.synth import generate_corpus
+from deidpipe.textkit import EmbeddingTable, build_vocab, filter_report, tokenize
+from deidpipe.encoders import alignment_grad, alignment_loss
+from oracles import (
     apply_blacklist,
-    bias_whitelist,
-    project_prompt,
-    score_row,
+    naive_project_sequence,
+    naive_ssim,
     select_token,
     softmax_probabilities,
     top_k,
 )
-from deidpipe.synth import generate_corpus
-from deidpipe.textkit import EmbeddingTable, build_vocab, filter_report, tokenize
-from deidpipe.encoders import alignment_grad, alignment_loss
-from oracles import naive_project_sequence, naive_ssim
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -146,25 +144,30 @@ def test_04_whitelist_bias_semantics():
         )
         without_stage = []
         for row_vec in prompt:
-            cands = top_k(apply_blacklist(score_row(row_vec, table), set()), 15)
-            without_stage.append(select_token(cands, SelectionPolicy(mode="greedy")))
+            scores = score_row(row_vec, table)
+            ids, raw = top_k(scores, apply_blacklist(scores, ()), 15)
+            without_stage.append(select_token(ids, raw, SelectionPolicy(mode="greedy")))
         assert with_stage == without_stage
 
-    # whitelist softmax mass never decreases in the bias, membership fixed
+    # whitelist softmax mass never decreases in the bias, membership fixed;
+    # candidates and biased scores are those project_prompt audits
     for case in range(100):
         prompt_row = np.random.default_rng(2000 + case).standard_normal(10)
-        cands = top_k(apply_blacklist(score_row(prompt_row, table), set()), 15)
         whitelist = set(int(x) for x in np.random.default_rng(case).integers(0, 120, size=25))
         prev_mass = -1.0
         prev_ids = None
         for lam in lambdas:
-            biased = bias_whitelist(cands, whitelist, lam)
+            audit: list = []
+            project_prompt(
+                prompt_row[None, :], table, set(), whitelist, k=15, bias=lam,
+                policy=SelectionPolicy(mode="greedy"), audit=audit,
+            )
+            ids, biased = audit[0]["candidate_ids"], audit[0]["biased_scores"]
             if lam == 0.0:
-                np.testing.assert_array_equal(biased.biased, cands.raw)
-            probs = softmax_probabilities(biased, 1.0)
-            mass = float(sum(p for p, tid in zip(probs, biased.ids) if int(tid) in whitelist))
+                assert biased == audit[0]["raw_scores"]
+            probs = softmax_probabilities(np.array(biased), 1.0)
+            mass = float(sum(p for p, tid in zip(probs, ids) if tid in whitelist))
             assert mass >= prev_mass - 1e-12, f"case {case}: mass dropped at bias {lam}"
-            ids = list(biased.ids)
             assert prev_ids is None or ids == prev_ids, "membership must not depend on bias"
             prev_mass, prev_ids = mass, ids
     _report(

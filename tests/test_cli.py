@@ -12,7 +12,7 @@ from deidpipe.cli import main
 from deidpipe.config import PipelineConfig
 from deidpipe.dataio import read_pgm, write_pgm
 from deidpipe.evalkit import TEXT_METRICS, bleu_n, meteor_simplified, rouge_l
-from deidpipe.lexicon import load_lexicon_path, match_terms
+from deidpipe.lexicon import load_lexicon_json, load_lexicon_path, match_terms
 from deidpipe.synth import generate_corpus
 
 
@@ -269,6 +269,39 @@ def test_filter_reports_round_trip(corpus_dir, tmp_path, capsys):
     assert all(doc["removals"] for doc in audit)
 
 
+def test_no_blacklist_term_in_any_written_text_file(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main([
+        "synth-corpus", "--output", str(corpus),
+        "--records", "80", "--patients", "8", "--seed", "17",
+    ]) == 0
+    reports = tmp_path / "reports.txt"
+    reports.write_text(
+        "".join(doc["report"] + "\n" for doc in _read_jsonl(corpus / "dataset.jsonl")),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    deid = [
+        "deid", "--input", str(corpus / "dataset.jsonl"),
+        "--lexicon", str(corpus / "lexicon.json"), "--seed", "3",
+    ]
+    assert main(deid + ["--output", str(out / "plain")]) == 0
+    assert main(deid + ["--output", str(out / "verbose"), "--verbose-audit"]) == 0
+    assert main([
+        "filter-reports", "--lexicon", str(corpus / "lexicon.json"),
+        "--input", str(reports), "--output", str(out / "filtered.txt"),
+    ]) == 0
+    # blacklist matches do not depend on the whitelist; leaving it out
+    # halves the scan of the 4 MB verbose dataset
+    terms = json.loads((corpus / "lexicon.json").read_text(encoding="utf-8"))["blacklist"]
+    blacklist = load_lexicon_json(json.dumps({"blacklist": terms, "whitelist": []}))
+    texts = sorted(p for p in out.rglob("*") if p.is_file() and p.suffix != ".pgm")
+    assert len(texts) == 6, "dataset and manifest per deid run, filtered text and its audit"
+    for path in texts:
+        hits = match_terms(path.read_text(encoding="utf-8"), blacklist)
+        assert hits == [], f"{path.relative_to(out)}: {len(hits)} blacklist term(s)"
+
+
 def test_eval_text_metrics(tmp_path, capsys):
     (tmp_path / "c.txt").write_text("lungs clear\nheart normal\n", encoding="utf-8")
     (tmp_path / "r.txt").write_text("the lungs are clear\nheart normal\n", encoding="utf-8")
@@ -327,9 +360,11 @@ def test_eval_empty_or_wordless_line_exits_2(tmp_path, capsys, side, line):
 
 
 def test_eval_rejects_unknown_metric(tmp_path, capsys):
-    rc = main(["eval", "--metrics", "wer"])
-    assert rc == 2
-    assert "wer" in capsys.readouterr().err
+    for metrics, named in (("wer", "wer"), ("", "--metrics"), (",", "--metrics")):
+        rc = main(["eval", "--metrics", metrics])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
 
 
 def test_eval_rejects_mismatched_line_counts(tmp_path, capsys):
@@ -424,10 +459,14 @@ def test_probe_single_class_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("flag", ["--encoder-dim", "--pool-grid"])
-def test_probe_rejects_sizes_below_one_before_reading(tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--encoder-dim", "0"), ("--pool-grid", "0"), ("--encoder-seed", "-1")],
+    ids=["--encoder-dim", "--pool-grid", "--encoder-seed"],
+)
+def test_probe_rejects_sizes_below_one_before_reading(tmp_path, capsys, flag, value):
     missing = tmp_path / "no-such-dataset.jsonl"
-    rc = main(["probe", "--train", str(missing), "--eval", str(missing), flag, "0"])
+    rc = main(["probe", "--train", str(missing), "--eval", str(missing), flag, value])
     assert rc == 2
     err = capsys.readouterr().err
     assert flag in err and "no-such-dataset" not in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -203,11 +204,14 @@ def test_token_id_sets_cover_every_phrase_word():
     assert f_ids.isdisjoint(p_ids)
 
 
-def test_token_id_sets_tolerates_missing_words():
-    lex = _lex(["john doe"], [])
+def test_token_id_sets_tolerates_missing_words(caplog):
+    lex = _lex(["john doe", "jane marchetti"], [])
     vocab = build_vocab(["only doe appears"])
-    f_ids, _ = token_id_sets(lex, vocab)
+    with caplog.at_level(logging.WARNING, logger="deidpipe.lexicon"):
+        f_ids, _ = token_id_sets(lex, vocab)
     assert {vocab.surface(i) for i in f_ids} == {"doe"}
+    assert "3 blacklist word(s) absent" in caplog.text
+    assert not [w for w in ("john", "jane", "marchetti") if w in caplog.text]
 
 
 def test_lexterm_token_words_split_normalized_surface():

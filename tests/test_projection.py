@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 
 from deidpipe.errors import DeidError, VocabularyExhaustedError
-from deidpipe.projection import (
-    SelectionPolicy,
+from deidpipe.projection import SelectionPolicy, project_prompt, score_row
+from deidpipe.textkit import EmbeddingTable
+from oracles import (
     apply_blacklist,
     bias_whitelist,
-    project_prompt,
-    score_row,
+    naive_cosine_scores,
+    naive_project_sequence,
     select_token,
     softmax_probabilities,
     top_k,
 )
-from deidpipe.textkit import EmbeddingTable
-from oracles import naive_cosine_scores, naive_project_sequence
+
+# The per-position stages live in oracles.py as the reference
+# project_prompt must reproduce (see the composition test at the end);
+# the tests below pin down what each stage means.
 
 
 @pytest.fixture(scope="module")
@@ -29,30 +32,36 @@ def _row(seed, dim=12):
     return np.random.default_rng(seed).standard_normal(dim)
 
 
+def _candidates(vec, table, k):
+    """(ids, raw scores) of the top k for one row, nothing blacklisted."""
+    scores = score_row(vec, table)
+    return top_k(scores, apply_blacklist(scores, ()), k)
+
+
 def test_score_row_matches_naive_cosines(table):
     vec = _row(0)
-    row = score_row(vec, table)
+    scores = score_row(vec, table)
     want = naive_cosine_scores(vec / np.linalg.norm(vec), table.unit_rows)
-    np.testing.assert_allclose(row.scores, want, rtol=0, atol=1e-12)
-    assert not row.excluded.any()
+    assert scores.shape == (50,)
+    np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
 
 
 def test_apply_blacklist_marks_exactly_the_given_ids(table):
-    row = score_row(_row(1), table)
-    masked = apply_blacklist(row, {3, 7, 49})
-    assert sorted(np.flatnonzero(masked.excluded)) == [3, 7, 49]
-    assert not row.excluded.any(), "input row must stay untouched"
-    np.testing.assert_array_equal(masked.scores, row.scores)
+    scores = score_row(_row(1), table)
+    before = scores.copy()
+    excluded = apply_blacklist(scores, {3, 7, 49})
+    assert sorted(np.flatnonzero(excluded)) == [3, 7, 49]
+    np.testing.assert_array_equal(scores, before)
 
 
 def test_top_k_matches_full_sort_oracle(table):
-    row = apply_blacklist(score_row(_row(2), table), {0, 5, 11})
-    cands = top_k(row, 10)
+    scores = score_row(_row(2), table)
+    ids, _ = top_k(scores, apply_blacklist(scores, {0, 5, 11}), 10)
     order = sorted(
         (i for i in range(50) if i not in {0, 5, 11}),
-        key=lambda i: (-row.scores[i], i),
+        key=lambda i: (-scores[i], i),
     )
-    assert list(cands.ids) == order[:10]
+    assert list(ids) == order[:10]
 
 
 def test_top_k_breaks_score_ties_by_ascending_id():
@@ -60,46 +69,39 @@ def test_top_k_breaks_score_ties_by_ascending_id():
     vectors[:, 0] = 1.0
     vectors[5] = [0.0, 1.0, 0.0, 0.0]
     table = EmbeddingTable(vectors=vectors)
-    row = score_row(np.array([1.0, 0.0, 0.0, 0.0]), table)
-    cands = top_k(row, 3)
-    assert list(cands.ids) == [0, 1, 2]
+    ids, _ = _candidates(np.array([1.0, 0.0, 0.0, 0.0]), table, 3)
+    assert list(ids) == [0, 1, 2]
 
 
 def test_top_k_with_small_vocabulary_returns_everything(table):
-    row = score_row(_row(3), table)
-    cands = top_k(row, 500)
-    assert len(cands.ids) == 50
+    ids, _ = _candidates(_row(3), table, 500)
+    assert len(ids) == 50
 
 
 def test_top_k_raises_when_all_candidates_excluded(table):
-    row = apply_blacklist(score_row(_row(4), table), set(range(50)))
+    scores = score_row(_row(4), table)
     with pytest.raises(VocabularyExhaustedError):
-        top_k(row, 5)
+        top_k(scores, apply_blacklist(scores, range(50)), 5)
 
 
 def test_bias_whitelist_adds_bonus_only_to_members(table):
-    row = score_row(_row(5), table)
-    cands = top_k(row, 8)
-    members = {int(cands.ids[1]), int(cands.ids[4])}
-    biased = bias_whitelist(cands, members, 0.25)
-    for pos, tid in enumerate(cands.ids):
+    ids, raw = _candidates(_row(5), table, 8)
+    members = {int(ids[1]), int(ids[4])}
+    biased = bias_whitelist(ids, raw, members, 0.25)
+    for pos, tid in enumerate(ids):
         bonus = 0.25 if int(tid) in members else 0.0
-        assert biased.biased[pos] == cands.raw[pos] + bonus
-    np.testing.assert_array_equal(biased.raw, cands.raw)
+        assert biased[pos] == raw[pos] + bonus
 
 
 def test_zero_bias_leaves_scores_bitwise_identical(table):
-    row = score_row(_row(6), table)
-    cands = top_k(row, 8)
-    biased = bias_whitelist(cands, {int(cands.ids[0])}, 0.0)
-    np.testing.assert_array_equal(biased.biased, cands.raw)
+    ids, raw = _candidates(_row(6), table, 8)
+    np.testing.assert_array_equal(bias_whitelist(ids, raw, {int(ids[0])}, 0.0), raw)
 
 
 def test_greedy_selection_takes_best_biased_score_lowest_id(table):
-    row = score_row(_row(7), table)
-    cands = top_k(row, 8)
-    chosen = select_token(cands, SelectionPolicy(mode="greedy"))
-    best = sorted(zip(-cands.biased, cands.ids))[0][1]
+    ids, raw = _candidates(_row(7), table, 8)
+    chosen = select_token(ids, raw, SelectionPolicy(mode="greedy"))
+    best = sorted(zip(-raw, ids))[0][1]
     assert chosen == int(best)
 
 
@@ -107,30 +109,29 @@ def test_greedy_tie_goes_to_lowest_id():
     vectors = np.zeros((4, 3))
     vectors[:, 0] = 1.0
     table = EmbeddingTable(vectors=vectors)
-    row = score_row(np.array([1.0, 0.0, 0.0]), table)
-    cands = top_k(row, 4)
-    assert select_token(cands, SelectionPolicy(mode="greedy")) == 0
-    without_zero = top_k(apply_blacklist(row, {0}), 4)
-    assert select_token(without_zero, SelectionPolicy(mode="greedy")) == 1
+    scores = score_row(np.array([1.0, 0.0, 0.0]), table)
+    greedy = SelectionPolicy(mode="greedy")
+    for banned, want in (((), 0), ({0}, 1)):
+        ids, raw = top_k(scores, apply_blacklist(scores, banned), 4)
+        assert select_token(ids, raw, greedy) == want
 
 
 def test_whitelist_bias_can_flip_the_greedy_choice(table):
-    row = score_row(_row(8), table)
-    cands = top_k(row, 5)
-    runner_up = int(cands.ids[1])
-    gap = float(cands.raw[0] - cands.raw[1])
-    flipped = bias_whitelist(cands, {runner_up}, gap + 0.01)
-    assert select_token(flipped, SelectionPolicy(mode="greedy")) == runner_up
-    unflipped = bias_whitelist(cands, {runner_up}, gap / 2.0)
-    assert select_token(unflipped, SelectionPolicy(mode="greedy")) == int(cands.ids[0])
+    ids, raw = _candidates(_row(8), table, 5)
+    greedy = SelectionPolicy(mode="greedy")
+    runner_up = int(ids[1])
+    gap = float(raw[0] - raw[1])
+    flipped = bias_whitelist(ids, raw, {runner_up}, gap + 0.01)
+    assert select_token(ids, flipped, greedy) == runner_up
+    unflipped = bias_whitelist(ids, raw, {runner_up}, gap / 2.0)
+    assert select_token(ids, unflipped, greedy) == int(ids[0])
 
 
 def test_softmax_probabilities_match_manual_formula(table):
-    row = score_row(_row(9), table)
-    cands = bias_whitelist(top_k(row, 6), set(), 0.0)
+    _, raw = _candidates(_row(9), table, 6)
     for tau in (0.25, 1.0, 4.0):
-        probs = softmax_probabilities(cands, tau)
-        logits = cands.biased / tau
+        probs = softmax_probabilities(raw, tau)
+        logits = raw / tau
         want = np.exp(logits - logits.max())
         want /= want.sum()
         np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
@@ -138,40 +139,45 @@ def test_softmax_probabilities_match_manual_formula(table):
 
 
 def test_softmax_sampling_frequencies_match_probabilities(table):
-    row = score_row(_row(10), table)
-    cands = bias_whitelist(top_k(row, 4), set(), 0.0)
+    vec = _row(10)
+    ids, raw = _candidates(vec, table, 4)
     policy = SelectionPolicy(mode="softmax", temperature=1.0)
     rng = np.random.default_rng(123)
     draws = 100_000
     counts = np.zeros(50)
-    for _ in range(draws):
-        counts[select_token(cands, policy, rng)] += 1
-    probs = softmax_probabilities(cands, 1.0)
-    for pos, tid in enumerate(cands.ids):
+    # project_prompt draws one uniform per row: 10 prompts of 10k copies
+    # of the row sample the same position 100k times
+    for _ in range(10):
+        tokens = project_prompt(
+            np.tile(vec, (draws // 10, 1)), table, set(), set(), k=4, bias=0.0,
+            policy=policy, rng=rng,
+        )
+        counts += np.bincount(tokens, minlength=50)
+    probs = softmax_probabilities(raw, 1.0)
+    for pos, tid in enumerate(ids):
         assert counts[tid] / draws == pytest.approx(probs[pos], abs=0.01)
     assert counts.sum() == draws
 
 
 def test_softmax_is_seed_deterministic(table):
-    row = score_row(_row(11), table)
-    cands = bias_whitelist(top_k(row, 6), set(), 0.0)
+    ids, raw = _candidates(_row(11), table, 6)
     policy = SelectionPolicy(mode="softmax", temperature=0.7)
-    a = [select_token(cands, policy, np.random.default_rng(5)) for _ in range(10)]
-    b = [select_token(cands, policy, np.random.default_rng(5)) for _ in range(10)]
+    a = [select_token(ids, raw, policy, np.random.default_rng(5)) for _ in range(10)]
+    b = [select_token(ids, raw, policy, np.random.default_rng(5)) for _ in range(10)]
     assert a == b
 
 
 def test_softmax_without_generator_raises(table):
     policy = SelectionPolicy(mode="softmax")
-    cands = bias_whitelist(top_k(score_row(_row(15), table), 6), set(), 0.0)
+    ids, raw = _candidates(_row(15), table, 6)
     with pytest.raises(DeidError, match="random generator"):
-        select_token(cands, policy)
+        select_token(ids, raw, policy)
     with pytest.raises(DeidError, match="random generator"):
         project_prompt(
             np.random.default_rng(15).standard_normal((4, 12)), table, set(), set(),
             k=5, bias=0.0, policy=policy,
         )
-    assert select_token(cands, SelectionPolicy(mode="greedy")) == int(cands.ids[0])
+    assert select_token(ids, raw, SelectionPolicy(mode="greedy")) == int(ids[0])
 
 
 def test_project_prompt_matches_end_to_end_oracle(table):
@@ -247,14 +253,15 @@ def _project_per_position(prompt, table, blacklist, whitelist, k, bias, policy, 
     """project_prompt spelled out as the single-position composition."""
     tokens, audit = [], []
     for j, vec in enumerate(prompt):
-        cands = top_k(apply_blacklist(score_row(vec, table), blacklist), k)
-        cands = bias_whitelist(cands, whitelist, bias)
-        chosen = select_token(cands, policy, rng)
+        scores = score_row(vec, table)
+        ids, raw = top_k(scores, apply_blacklist(scores, blacklist), k)
+        biased = bias_whitelist(ids, raw, whitelist, bias)
+        chosen = select_token(ids, biased, policy, rng)
         audit.append({
             "position": j,
-            "candidate_ids": [int(i) for i in cands.ids],
-            "raw_scores": [float(s) for s in cands.raw],
-            "biased_scores": [float(s) for s in cands.biased],
+            "candidate_ids": [int(i) for i in ids],
+            "raw_scores": [float(s) for s in raw],
+            "biased_scores": [float(s) for s in biased],
             "chosen": chosen,
         })
         tokens.append(chosen)
