@@ -62,6 +62,11 @@ def cmd_deid(args) -> int:
     if not args.input or not args.lexicon or not args.output:
         print("deid requires --input, --lexicon and --output", file=sys.stderr)
         return 2
+    # A used directory would mix the earlier run's images with this run's.
+    out_dir = Path(args.output)
+    if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):
+        print(f"deid: --output {out_dir} exists and is not an empty directory", file=sys.stderr)
+        return 2
     cfg = _load_config(args)
     lex = load_lexicon_path(args.lexicon)
     records = read_dataset(args.input)
@@ -84,7 +89,6 @@ def cmd_deid(args) -> int:
             failures=failures,
             verbose_audit=args.verbose_audit,
         )
-    out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_deid_dataset(outputs, out_dir / "dataset.jsonl")
     manifest = {

@@ -13,9 +13,8 @@ from .dataio import canonical_json
 from .errors import FormatError
 
 MODES = ("greedy", "softmax")
-PAIR_REPORT_CHOICES = ("original", "filtered")
-INIT_CHOICES = ("raw_report", "random")
-_INT_FIELDS = ("steps", "top_k", "max_prompt_len", "rounds", "seed")
+INIT_CHOICES = ("raw_report",)
+_INT_FIELDS = ("steps", "top_k", "max_prompt_len", "seed")
 _REAL_FIELDS = ("learning_rate", "whitelist_bias", "temperature", "source_blend")
 
 
@@ -24,16 +23,14 @@ class PipelineConfig:
     """Knobs of a de-identification run; field names mirror the config file."""
 
     learning_rate: float = 0.05   # gradient step size
-    steps: int = 50               # gradient steps per round
+    steps: int = 50               # gradient steps
     top_k: int = 20               # candidates kept per position
     whitelist_bias: float = 0.05  # additive score bonus for whitelist tokens
     temperature: float = 1.0      # softmax temperature
     mode: str = "greedy"          # "greedy" or "softmax" token selection
     seed: int = 0                 # master seed for every derived stream
     max_prompt_len: int = 64      # tokenized report truncation length
-    rounds: int = 1               # optimize/project/re-embed cycles
     source_blend: float = 0.0     # weight of the low-passed source image
-    pair_report: str = "filtered" # report paired with the output image
     init: str = "raw_report"      # prompt initialization
 
     def __post_init__(self):
@@ -62,12 +59,8 @@ class PipelineConfig:
             raise FormatError(f"mode must be one of {MODES}")
         if self.max_prompt_len < 1:
             raise FormatError("max_prompt_len must be >= 1")
-        if self.rounds < 1:
-            raise FormatError("rounds must be >= 1")
         if not 0.0 <= self.source_blend <= 1.0:
             raise FormatError("source_blend must lie in [0, 1]")
-        if self.pair_report not in PAIR_REPORT_CHOICES:
-            raise FormatError(f"pair_report must be one of {PAIR_REPORT_CHOICES}")
         if self.init not in INIT_CHOICES:
             raise FormatError(f"init must be one of {INIT_CHOICES}")
 

@@ -66,12 +66,23 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = (int(f) for f in fields)
     except ValueError as exc:
         raise FormatError(f"{path}: malformed pgm header") from exc
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: pgm sides must be >= 1, found {w}x{h}")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported, found {maxval}")
     body = raw[pos : pos + w * h]
     if len(body) != w * h:
         raise FormatError(f"{path}: expected {w * h} pixel bytes, found {len(body)}")
     return np.frombuffer(body, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0
+
+
+def _check_numbers(value, where: str) -> None:
+    """Every leaf of a nested list must be a JSON number; true and false are not."""
+    if isinstance(value, list):
+        for item in value:
+            _check_numbers(item, where)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{where}: inline pixel {value!r} is not a number")
 
 
 def _image_from_field(doc: dict, base_dir: Path, where: str) -> np.ndarray:
@@ -86,10 +97,14 @@ def _image_from_field(doc: dict, base_dir: Path, where: str) -> np.ndarray:
             raise FormatError(f"{where}: image path {rel!r} must lie under {base_dir}")
         return read_pgm(target)
     if "pixels" in image:
+        for side in ("h", "w"):
+            value = image.get(side)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise FormatError(f"{where}: inline {side} must be an integer >= 1")
+        _check_numbers(image["pixels"], where)
         try:
-            h, w = int(image["h"]), int(image["w"])
-            arr = np.asarray(image["pixels"], dtype=np.float64).reshape(h, w)
-        except (KeyError, TypeError, ValueError) as exc:
+            arr = np.asarray(image["pixels"], dtype=np.float64).reshape(image["h"], image["w"])
+        except (OverflowError, ValueError) as exc:
             raise FormatError(f"{where}: bad inline pixel block: {exc}") from exc
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise DatasetError(f"{where}: pixels out of [0, 1]")

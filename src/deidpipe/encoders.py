@@ -71,7 +71,6 @@ class ReferenceEncoder:
     text_weights: np.ndarray
     image_weights: np.ndarray
     pool_grid: int = DEFAULT_POOL_GRID
-    seed: int = 0
 
     def __post_init__(self):
         self.text_weights = np.asarray(self.text_weights, dtype=np.float64)
@@ -98,7 +97,6 @@ class ReferenceEncoder:
             text_weights=rng.standard_normal((dim, dim)),
             image_weights=rng.standard_normal((dim, pool_grid * pool_grid)),
             pool_grid=pool_grid,
-            seed=seed,
         )
 
     def encode_text(self, prompt: np.ndarray) -> np.ndarray:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,16 +14,7 @@ from .encoders import ReferenceEncoder, check_prompt
 from .encoders import alignment_grad, alignment_loss  # noqa: F401
 from .errors import DegenerateInputError, DeidError, OptimizationError
 from .projection import SelectionPolicy, project_prompt
-from .textkit import EmbeddingTable, embed
-
-
-@dataclass
-class OptTrace:
-    """Loss trajectory of one optimization run: initial value plus one per step."""
-
-    losses: np.ndarray
-    step_count: int
-    learning_rate: float
+from .textkit import EmbeddingTable
 
 
 def optimize_prompt(
@@ -33,12 +23,13 @@ def optimize_prompt(
     enc: ReferenceEncoder,
     learning_rate: float,
     steps: int,
-) -> tuple[np.ndarray, OptTrace]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run exactly `steps` full-gradient updates H <- H - learning_rate * grad.
 
-    Returns the final prompt and a trace of steps + 1 losses. The run is
-    bitwise deterministic; a non-finite loss or prompt aborts with the
-    offending step index.
+    Returns the final prompt and its steps + 1 losses, the initial one
+    first. The run is bitwise deterministic; a non-finite loss or prompt
+    aborts with the offending step index, and numpy prints no overflow
+    warning first.
 
     The loss sees the prompt only through the pooled mean m, and every
     gradient row is the same vector g (see the encoders module), so
@@ -64,60 +55,53 @@ def optimize_prompt(
     m0 = start.mean(axis=0)
     m = m0
     losses = np.empty(steps + 1, dtype=np.float64)
-    for t in range(steps + 1):
-        z = weights @ m
-        nz = math.sqrt(z.dot(z))
-        if not math.isfinite(nz):
-            raise OptimizationError(f"non-finite loss at step {t}")
-        if nz == 0.0:
-            raise DegenerateInputError("text feature collapsed to a zero vector")
-        u = z / nz
-        cos = float(u.dot(f)) / (math.sqrt(u.dot(u)) * nf)
-        losses[t] = 1.0 - min(1.0, max(-1.0, cos))
-        if t == steps:
-            break
-        g_z = (float(u.dot(v)) * u - v) / nz
-        m = m - learning_rate * ((weights.T @ g_z) / rows)
-    current = start + (m - m0)
+    # Overflow is caught by the finiteness checks below, which name the step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps + 1):
+            z = weights @ m
+            nz = math.sqrt(z.dot(z))
+            if not math.isfinite(nz):
+                raise OptimizationError(f"non-finite loss at step {t}")
+            if nz == 0.0:
+                raise DegenerateInputError("text feature collapsed to a zero vector")
+            u = z / nz
+            cos = float(u.dot(f)) / (math.sqrt(u.dot(u)) * nf)
+            losses[t] = 1.0 - min(1.0, max(-1.0, cos))
+            if t == steps:
+                break
+            g_z = (float(u.dot(v)) * u - v) / nz
+            m = m - learning_rate * ((weights.T @ g_z) / rows)
+        current = start + (m - m0)
     if not np.all(np.isfinite(current)):
         raise OptimizationError(f"non-finite prompt at step {steps}")
-    return current, OptTrace(losses=losses, step_count=steps, learning_rate=learning_rate)
+    return current, losses
 
 
-def refine_cycle(
+def optimize_and_project(
     prompt: np.ndarray,
     f_img: np.ndarray,
-    enc,
+    enc: ReferenceEncoder,
     table: EmbeddingTable,
     blacklist_ids: set[int],
     whitelist_ids: set[int],
     cfg: PipelineConfig,
     rng: np.random.Generator | None = None,
     audit: list | None = None,
-) -> tuple[list[int], list[OptTrace]]:
-    """Alternate optimize / project / re-embed for cfg.rounds rounds.
+) -> tuple[list[int], np.ndarray]:
+    """Optimize the continuous prompt, then snap it to constrained token ids.
 
-    Each round optimizes the continuous prompt, snaps it to constrained
-    token ids, and re-embeds those ids as the next round's start. Returns
-    the final token sequence and one trace per round.
+    Returns the token ids and the optimization losses.
     """
-    policy = SelectionPolicy(mode=cfg.mode, temperature=cfg.temperature)
-    current = np.array(prompt, dtype=np.float64, copy=True)
-    traces: list[OptTrace] = []
-    tokens: list[int] = []
-    for _ in range(cfg.rounds):
-        current, trace = optimize_prompt(current, f_img, enc, cfg.learning_rate, cfg.steps)
-        traces.append(trace)
-        tokens = project_prompt(
-            current,
-            table,
-            blacklist_ids,
-            whitelist_ids,
-            k=cfg.top_k,
-            bias=cfg.whitelist_bias,
-            policy=policy,
-            rng=rng,
-            audit=audit,
-        )
-        current = embed(tokens, table)
-    return tokens, traces
+    current, losses = optimize_prompt(prompt, f_img, enc, cfg.learning_rate, cfg.steps)
+    tokens = project_prompt(
+        current,
+        table,
+        blacklist_ids,
+        whitelist_ids,
+        k=cfg.top_k,
+        bias=cfg.whitelist_bias,
+        policy=SelectionPolicy(mode=cfg.mode, temperature=cfg.temperature),
+        rng=rng,
+        audit=audit,
+    )
+    return tokens, losses

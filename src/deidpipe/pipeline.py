@@ -2,7 +2,7 @@
 
 Per record: tokenize the report, optimize the continuous prompt against
 the image feature, project it to constrained token ids, synthesize a new
-image from those ids, and pair it with the filtered (or original) report.
+image from those ids, and pair it with the filtered report.
 Every random choice derives from (config seed, record index), so results
 never depend on how a run is scheduled.
 """
@@ -19,8 +19,8 @@ from .config import PipelineConfig
 from .encoders import ReferenceEncoder, validate_image
 from .errors import DatasetError, DeidError, RecordError
 from .lexicon import Lexicon, token_id_sets
-from .optimizer import refine_cycle
-from .textkit import EmbeddingTable, Vocabulary, embed, filter_report, random_prompt, tokenize
+from .optimizer import optimize_and_project
+from .textkit import EmbeddingTable, Vocabulary, embed, filter_report, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +69,6 @@ class ToyGenerator:
     out_h: int
     out_w: int
     blend: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -97,7 +96,6 @@ class ToyGenerator:
             out_h=out_h,
             out_w=out_w,
             blend=blend,
-            seed=seed,
         )
 
 
@@ -178,14 +176,10 @@ def deid_record(
     """
     try:
         blacklist_ids, whitelist_ids = id_sets
-        ids = tokenize(rec.report, vocab, cfg.max_prompt_len)
-        if cfg.init == "raw_report":
-            prompt = embed(ids, table)
-        else:
-            prompt = random_prompt(len(ids), table.dim, seed=int(rng.integers(2**63)))
+        prompt = embed(tokenize(rec.report, vocab, cfg.max_prompt_len), table)
         f_img = enc.encode_image(rec.image)
         projection_audit: list | None = [] if verbose_audit else None
-        tokens, traces = refine_cycle(
+        tokens, losses = optimize_and_project(
             prompt,
             f_img,
             enc,
@@ -199,16 +193,14 @@ def deid_record(
         image = generate_image(
             tokens, rec.image if cfg.source_blend > 0.0 else None, gen, table
         )
-        filtered, removals = filter_report(rec.report, lex)
-        report = filtered if cfg.pair_report == "filtered" else rec.report
+        report, removals = filter_report(rec.report, lex)
         audit = {
             "removals": [r.to_dict() for r in removals],
             "optimization": {
-                "rounds": cfg.rounds,
                 "steps_per_round": cfg.steps,
                 "learning_rate": cfg.learning_rate,
-                "initial_loss": float(traces[0].losses[0]),
-                "final_loss": float(traces[-1].losses[-1]),
+                "initial_loss": float(losses[0]),
+                "final_loss": float(losses[-1]),
             },
         }
         if verbose_audit:

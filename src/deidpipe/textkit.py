@@ -87,7 +87,6 @@ class EmbeddingTable:
     """
 
     vectors: np.ndarray
-    seed: int = 0
     _unit_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -123,7 +122,7 @@ class EmbeddingTable:
         norms = np.linalg.norm(vectors, axis=1)
         if np.any(norms == 0.0):
             raise DeidError("degenerate zero-norm row while seeding table")
-        return cls(vectors / norms[:, None], seed=seed)
+        return cls(vectors / norms[:, None])
 
 
 def embed(seq: Sequence[int], table: EmbeddingTable) -> np.ndarray:

@@ -185,14 +185,14 @@ def test_05_optimization_behavior():
         enc = ReferenceEncoder.from_seed(dim=16, pool_grid=8, seed=int(rng.integers(2**31)))
         prompt = np.random.default_rng(int(rng.integers(2**31))).standard_normal((8, 16))
         f_img = np.random.default_rng(int(rng.integers(2**31))).standard_normal(16)
-        final, trace = optimize_prompt(prompt, f_img, enc, learning_rate=0.05, steps=50)
-        improved += trace.losses[-1] < trace.losses[0]
+        final, losses = optimize_prompt(prompt, f_img, enc, learning_rate=0.05, steps=50)
+        improved += losses[-1] < losses[0]
         current = prompt.astype(np.float64)
-        assert abs(trace.losses[0] - alignment_loss(current, f_img, enc)) <= 1e-12
+        assert abs(losses[0] - alignment_loss(current, f_img, enc)) <= 1e-12
         for t in range(1, 51):
             current = current - 0.05 * alignment_grad(current, f_img, enc)
             replay_worst = max(
-                replay_worst, abs(trace.losses[t] - alignment_loss(current, f_img, enc))
+                replay_worst, abs(losses[t] - alignment_loss(current, f_img, enc))
             )
         np.testing.assert_allclose(final, current, rtol=0, atol=1e-12)
     ok = improved >= 190 and replay_worst <= 1e-12

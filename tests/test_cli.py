@@ -230,6 +230,9 @@ def test_deid_rejects_image_path_outside_input_dir(corpus_dir, tmp_path, capsys,
         {"seed": -1},
         {"seed": "x"},
         {"seed": 1e30},
+        {"pair_report": "original"},
+        {"init": "random"},
+        {"rounds": 2},
     ],
 )
 def test_deid_config_value_of_wrong_type_exits_2(corpus_dir, tmp_path, capsys, bad):
@@ -244,6 +247,41 @@ def test_deid_config_value_of_wrong_type_exits_2(corpus_dir, tmp_path, capsys, b
     ])
     assert rc == 2
     assert next(iter(bad)) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_deid_into_a_used_output_exits_2_and_writes_nothing(corpus_dir, tmp_path, capsys):
+    used, a_file = tmp_path / "used", tmp_path / "a_file"
+    a_file.write_text("keep\n", encoding="utf-8")
+    deid = [
+        "deid",
+        "--input", str(corpus_dir / "dataset.jsonl"),
+        "--lexicon", str(corpus_dir / "lexicon.json"),
+    ]
+    assert main(deid + ["--output", str(used)]) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    for out in (used, a_file):
+        capsys.readouterr()
+        assert main(deid + ["--output", str(out), "--seed", "8"]) == 2
+        assert "not an empty directory" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_deid_pgm_with_sides_below_one_exits_2(corpus_dir, tmp_path, capsys):
+    doc = json.loads((corpus_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    src = tmp_path / "in" / "dataset.jsonl"
+    src.parent.mkdir()
+    (src.parent / "bad.pgm").write_bytes(b"P5\n-5 -5\n255\n" + bytes(25))
+    doc["image"] = {"path": "bad.pgm"}
+    src.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    rc = main([
+        "deid",
+        "--input", str(src),
+        "--lexicon", str(corpus_dir / "lexicon.json"),
+        "--output", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert "sides must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -66,6 +66,14 @@ def test_pgm_rejects_truncated_payload(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("sides", [b"-5 -5", b"0 4", b"4 0", b"-1 -25"])
+def test_pgm_rejects_sides_below_one(tmp_path, sides):
+    p = tmp_path / "img.pgm"
+    p.write_bytes(b"P5\n" + sides + b"\n255\n" + bytes(25))
+    with pytest.raises(FormatError, match="sides"):
+        read_pgm(p)
+
+
 def _records():
     rng = np.random.default_rng(2)
     return [
@@ -144,6 +152,31 @@ def test_read_dataset_accepts_inline_pixels(tmp_path):
     np.testing.assert_array_equal(recs[0].image, np.full((8, 8), 0.5))
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"pixels": [[True] * 8] * 8},
+        {"pixels": [[0.5] * 7 + [False]] + [[0.5] * 8] * 7},
+        {"pixels": [["0.5"] * 8] * 8},
+        {"pixels": [[None] * 8] * 8},
+        {"pixels": [[0.5] * 8] * 7 + [[0.5] * 7]},
+        {"h": True, "w": 64, "pixels": [0.5] * 64},
+        {"h": 8, "w": False},
+        {"h": 8.0},
+        {"h": "8"},
+        {"h": 0, "w": 0, "pixels": []},
+        {"h": -8, "w": -8},
+    ],
+)
+def test_read_dataset_rejects_bad_inline_pixel_block(tmp_path, change):
+    doc = _doc(value=0.5)
+    doc["image"].update(change)
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="record a"):
+        read_dataset(path)
+
+
 @pytest.mark.parametrize("reader", [read_dataset])
 @pytest.mark.parametrize("where", ["absolute", "dotdot"])
 def test_readers_reject_image_paths_outside_the_dataset(tmp_path, reader, where):
@@ -190,7 +223,7 @@ def test_deid_dataset_round_trip(tmp_path):
             image=np.rint(rng.random((16, 16)) * 255.0) / 255.0,
             report=f"clean report {i}",
             prompt_tokens=[4, 5, 6 + i],
-            audit={"removals": [], "optimization": {"rounds": 1}},
+            audit={"removals": [], "optimization": {"steps_per_round": 1}},
         )
         for i in range(3)
     ]
@@ -216,8 +249,9 @@ def test_config_fingerprint_is_stable_and_sensitive():
 
 
 def test_config_from_dict_rejects_unknown_keys():
-    with pytest.raises(FormatError, match="mystery"):
-        PipelineConfig.from_dict({"mystery": 3})
+    for key, value in (("mystery", 3), ("rounds", 1), ("pair_report", "filtered")):
+        with pytest.raises(FormatError, match=key):
+            PipelineConfig.from_dict({key: value})
 
 
 def test_config_validation_rejects_bad_values():
@@ -226,12 +260,12 @@ def test_config_validation_rejects_bad_values():
         {"learning_rate": float("nan")},
         {"temperature": 0.0},
         {"mode": "other"},
-        {"rounds": 0},
+        {"max_prompt_len": 0},
         {"source_blend": 1.5},
-        {"pair_report": "both"},
         {"init": "zeros"},
+        {"init": "random"},
         {"steps": True},
-        {"rounds": 2.0},
+        {"max_prompt_len": 2.0},
         {"seed": 2**63},
         {"seed": False},
         {"learning_rate": True},

@@ -103,20 +103,9 @@ def test_deid_record_produces_clean_report_and_image(small_corpus, parts):
     assert 0.0 <= out.image.min() and out.image.max() <= 1.0
     assert not set(token_id_sets(lex, vocab)[0]).intersection(out.prompt_tokens)
     opt = out.audit["optimization"]
-    assert opt["rounds"] == cfg.rounds
+    assert set(opt) == {"steps_per_round", "learning_rate", "initial_loss", "final_loss"}
     assert opt["steps_per_round"] == cfg.steps
     assert np.isfinite(opt["initial_loss"]) and np.isfinite(opt["final_loss"])
-
-
-def test_deid_record_random_init_differs_from_report_init(small_corpus, parts):
-    cfg, vocab, table, enc, gen = parts
-    lex = small_corpus.lexicon
-    rec = small_corpus.records[1]
-    ids = token_id_sets(lex, vocab)
-    rand_cfg = PipelineConfig(seed=4, init="random")
-    a = deid_record(rec, cfg, lex, vocab, table, enc, gen, record_rng(4, 1), ids)
-    b = deid_record(rec, rand_cfg, lex, vocab, table, enc, gen, record_rng(4, 1), ids)
-    assert a.prompt_tokens != b.prompt_tokens or not np.array_equal(a.image, b.image)
 
 
 def test_deid_dataset_worker_count_does_not_change_bytes(small_corpus, parts):
